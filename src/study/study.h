@@ -24,10 +24,14 @@ struct StudyOptions {
   uint64_t seed = 2025;
   double scale = 1.0;
 
-  // Strict flag parsing: `--scale=` must be a finite number in (0, 4] and
-  // `--seed=` a full unsigned integer; anything else is an error naming the
-  // offending flag. Unrecognized arguments are ignored (callers own their
-  // other flags).
+  // The value rules, shared with the depsurf CLI's flag table: a scale is a
+  // finite number in (0, 4], a seed a full unsigned integer. Error messages
+  // quote the text but leave naming the flag to the caller.
+  static Result<double> ParseScale(const std::string& text);
+  static Result<uint64_t> ParseSeed(const std::string& text);
+  // Lenient argv scan for benches and examples, whose other flags belong to
+  // Google Benchmark: `--scale=`/`--seed=` are checked by the rules above
+  // (an error names the flag); every other argument is ignored.
   static Result<StudyOptions> Parse(int argc, char** argv, double default_scale = 1.0);
   // Convenience wrapper for benches/examples: prints the parse error to
   // stderr and exits 1 instead of propagating it.
@@ -39,10 +43,10 @@ struct StudyOptions {
 // degradation; this policy covers the residue (unreadable ELF container,
 // image generation failure).
 struct BuildPolicy {
-  // true (the default, `--keep-going`): quarantine the failed image —
-  // record its label + error, keep it out of the dataset, and finish the
-  // rest of the corpus. false (`--strict`): abort the build with the
-  // failed image's error, wrapped with its label.
+  // true (the default; the CLI's policy when `--strict` is absent):
+  // quarantine the failed image — record its label + error, keep it out of
+  // the dataset, and finish the rest of the corpus. false (`--strict`):
+  // abort the build with the failed image's error, wrapped with its label.
   bool keep_going = true;
   // Width of the concurrent generate+extract window (`--jobs=N`). 0 (the
   // default) auto-sizes to min(hardware_concurrency, 8). Results are

@@ -1,32 +1,14 @@
 // depsurf: command-line interface to the analysis library.
 //
-//   depsurf gen   --version=5.4 [--arch=x86] [--flavor=generic] [--scale=1.0]
-//                 [--seed=N] --out=IMAGE          generate a kernel image
-//   depsurf surface IMAGE [--func=NAME] [--json]  inspect a dependency surface
-//   depsurf stats   IMAGE [--json]                decode an image, report pipeline metrics
-//   depsurf doctor  IMAGE [--sweep=N] [--json]    triage a damaged image / fault sweep
-//   depsurf fuzz    SEED... [--rounds=N] [--json]  coverage-guided fault fuzzing
-//   depsurf diff    OLD NEW                       diff two images (Table 3/4 style)
-//   depsurf check   OBJECT IMAGE...               report mismatches for an eBPF object
-//   depsurf analyze OBJECT [--against=DS[,DS]]    static analysis of the insn stream
-//   depsurf fix     OBJECT [--against=DS[,DS]]    synthesize + verify exists-guards
-//   depsurf progs                                 list the bundled 53-program corpus
-//   depsurf emit    PROGRAM --out=OBJ             write a bundled program's .o
-//   depsurf metrics lint|canon FILE               validate / canonicalize a report
-//   depsurf report  merge OUT IN...               merge run reports into an aggregate
-//   depsurf report  flame REPORT.json             folded stacks for flamegraph.pl
-//   depsurf perf    compare BASE HEAD             perf regression gate over stage timings
-//   depsurf perf    record|trend|diff             run-history store, trend analytics,
-//                                                 differential profile attribution
-//   depsurf profile REPORT.json | --live          self-profile: self-time, critical path
-//   depsurf study   build [--versions=..]         build a dataset corpus, with reports
-//   depsurf serve   --against=DS[,DS] --oneshot   batched NDJSON dependency queries
-//   depsurf dataset migrate IN OUT                convert a .dds to the v2 mmap layout
-//
-// Every command accepts --metrics-out=FILE (write a depsurf.run_report.v1
-// JSON document on exit), --trace-out=FILE (write a Chrome/Perfetto
-// trace_event timeline of the span tree, for ui.perfetto.dev), and --trace
-// (stream spans to stderr as they close).
+// Every command and subcommand is declared once, in the command table at the
+// bottom of this file: its positionals, its flags with their value kinds, its
+// help text and its handler. ParseArgs checks argv against that entry and
+// hands the handler typed values; `depsurf` with no arguments prints the
+// usage text generated from the same table. Every command also accepts the
+// global flags --metrics-out=FILE (write a depsurf.run_report.v1 JSON
+// document on exit), --trace-out=FILE (write a Chrome/Perfetto trace_event
+// timeline of the span tree, for ui.perfetto.dev) and --trace (stream spans
+// to stderr as they close).
 //
 // Images and objects are ordinary files; `gen`/`emit` exist because this
 // reproduction generates its corpus instead of downloading Ubuntu dbgsym
@@ -35,14 +17,18 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <string_view>
 
 #include "src/analyzer/analyzer.h"
 #include "src/analyzer/remediation.h"
@@ -73,6 +59,112 @@ using obs::DiagError;
 
 namespace {
 
+// ---- Flag values ---------------------------------------------------------
+
+// How a flag's value is checked. kBool flags take no value; every other kind
+// requires a nonempty `--name=VALUE`.
+enum class Kind : uint8_t {
+  kBool,
+  kText,
+  kU64,      // a nonnegative integer
+  kJobs,     // an executor-window width: 0 (auto) through 256
+  kSeconds,  // a finite, nonnegative number of seconds
+  kRatio,    // "15%", "15" or "0.15", all meaning 15%
+  kScale,    // StudyOptions::ParseScale
+  kSeed,     // StudyOptions::ParseSeed
+};
+
+// One flag as given on the command line, with its typed value.
+struct Arg {
+  std::string text;
+  uint64_t u64 = 0;
+  double real = 0;
+};
+
+// The arguments of one command, checked against its table entry.
+struct Args {
+  std::vector<std::string> pos;
+  std::map<std::string, Arg> flags;
+
+  bool Has(const std::string& name) const { return flags.count(name) != 0; }
+  std::string Text(const std::string& name, const std::string& fallback = "") const {
+    auto it = flags.find(name);
+    return it == flags.end() ? fallback : it->second.text;
+  }
+  uint64_t U64(const std::string& name, uint64_t fallback) const {
+    auto it = flags.find(name);
+    return it == flags.end() ? fallback : it->second.u64;
+  }
+  double Real(const std::string& name, double fallback) const {
+    auto it = flags.find(name);
+    return it == flags.end() ? fallback : it->second.real;
+  }
+};
+
+Error Invalid(const std::string& message) {
+  return Error(ErrorCode::kInvalidArgument, message);
+}
+
+// The whole text must parse: a prefix or a wrapped negative number would
+// silently change what the command does (--sweep=abc as 0 skips the sweep).
+Result<uint64_t> ParseU64(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  unsigned long long value = strtoull(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE || text.front() == '-') {
+    return Invalid("\"" + text + "\" is not a nonnegative integer");
+  }
+  return static_cast<uint64_t>(value);
+}
+
+// A threshold read as 0 would turn the perf gate into a tripwire on noise.
+Result<double> ParseRatio(const std::string& text) {
+  bool percent = text.back() == '%';
+  std::string digits = percent ? text.substr(0, text.size() - 1) : text;
+  char* end = nullptr;
+  double value = digits.empty() ? 0 : strtod(digits.c_str(), &end);
+  if (digits.empty() || end == nullptr || *end != '\0' || !std::isfinite(value) ||
+      value <= 0) {
+    return Invalid("\"" + text + "\" is not a positive ratio (try 15%, 15, or 0.15)");
+  }
+  return percent || value > 1.0 ? value / 100.0 : value;
+}
+
+Result<double> ParseSeconds(const std::string& text) {
+  char* end = nullptr;
+  double value = strtod(text.c_str(), &end);
+  if (end == nullptr || *end != '\0' || !std::isfinite(value) || value < 0) {
+    return Invalid("\"" + text + "\" is not a nonnegative number of seconds");
+  }
+  return value;
+}
+
+// Checks a nonempty value against its kind.
+Result<Arg> ParseValue(Kind kind, const std::string& text) {
+  Arg arg{text};
+  if (kind == Kind::kU64 || kind == Kind::kJobs || kind == Kind::kSeed) {
+    auto value = kind == Kind::kSeed ? StudyOptions::ParseSeed(text) : ParseU64(text);
+    if (!value.ok()) {
+      return value.TakeError();
+    }
+    if (kind == Kind::kJobs && *value > 256) {
+      return Invalid("\"" + text + "\" is out of range (0 = auto, max 256)");
+    }
+    arg.u64 = *value;
+  } else if (kind == Kind::kSeconds || kind == Kind::kRatio || kind == Kind::kScale) {
+    auto value = kind == Kind::kSeconds ? ParseSeconds(text)
+                 : kind == Kind::kRatio ? ParseRatio(text)
+                                        : StudyOptions::ParseScale(text);
+    if (!value.ok()) {
+      return value.TakeError();
+    }
+    arg.real = *value;
+  }
+  return arg;
+}
+
+// ---- Files ---------------------------------------------------------------
+
 Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -83,80 +175,48 @@ Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
   return bytes;
 }
 
-Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+Result<std::string> ReadTextFile(const std::string& path) {
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) {
+    return bytes.TakeError();
+  }
+  return std::string(bytes->begin(), bytes->end());
+}
+
+// Every file the CLI writes goes through here. One check after the close
+// covers the open, the write (failbit is sticky) and the flush the close
+// does: a full disk (/dev/full) often fails only there.
+Status WriteFile(const std::string& path, std::string_view bytes) {
   std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
   if (!out) {
     return Status(ErrorCode::kIoError, "cannot write " + path);
   }
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
   return Status::Ok();
 }
 
-std::string FlagValue(int argc, char** argv, const char* name, const char* fallback) {
-  std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return fallback;
+Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  return WriteFile(path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                                          bytes.size()));
 }
 
-bool HasFlag(int argc, char** argv, const char* name) {
-  std::string flag = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) {
-      return true;
+// The nonempty items of a comma-separated flag value.
+std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> items;
+  for (const std::string& item : SplitString(list, ',')) {
+    if (!item.empty()) {
+      items.push_back(item);
     }
   }
-  return false;
+  return items;
 }
 
-std::vector<std::string> Positional(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 2; i < argc; ++i) {
-    if (strncmp(argv[i], "--", 2) != 0) {
-      out.push_back(argv[i]);
-    }
-  }
-  return out;
-}
-
-// Strict flag parsing: every --flag must be one of `allowed` or a global
-// flag (--metrics-out / --trace-out / --trace); exit 1 naming the flag
-// otherwise, matching the PR 9 sweep (a typo'd flag must never be silently
-// ignored). Returns 0 when all flags are known.
-int RejectUnknownFlags(int argc, char** argv, const char* command,
-                       std::initializer_list<const char*> allowed) {
-  for (int i = 2; i < argc; ++i) {
-    if (strncmp(argv[i], "--", 2) != 0) {
-      continue;
-    }
-    std::string name = argv[i] + 2;
-    if (size_t eq = name.find('='); eq != std::string::npos) {
-      name = name.substr(0, eq);
-    }
-    bool known = name == "metrics-out" || name == "trace-out" || name == "trace";
-    for (const char* a : allowed) {
-      known = known || name == a;
-    }
-    if (!known) {
-      return DiagError(StrFormat("%s: unknown flag --%s", command, name.c_str()));
-    }
-  }
-  return 0;
-}
-
-// Loads every dataset named in a comma-separated --against value.
-Result<std::vector<Dataset>> LoadAgainstDatasets(const std::string& against) {
-  std::vector<std::string> paths;
-  for (const std::string& path : SplitString(against, ',')) {
-    if (!path.empty()) {
-      paths.push_back(path);
-    }
-  }
-  std::vector<Dataset> datasets;
+// Loads every dataset named in --against into `datasets` and points `opts`
+// at them.
+Status LoadAgainstDatasets(const Args& args, std::vector<Dataset>& datasets,
+                           AnalyzeOptions& opts) {
+  std::vector<std::string> paths = SplitList(args.Text("against"));
   datasets.reserve(paths.size());
   for (const std::string& path : paths) {
     auto bytes = ReadFile(path);
@@ -169,48 +229,16 @@ Result<std::vector<Dataset>> LoadAgainstDatasets(const std::string& against) {
     }
     datasets.push_back(loaded.TakeValue());
   }
-  return datasets;
+  for (const Dataset& ds : datasets) {
+    opts.against_all.push_back(&ds);
+  }
+  return Status::Ok();
 }
-
-// A nonnegative integer flag value; empty means the fallback. Anything that
-// does not fully parse is an error: the old strtoull path read
-// "--sweep=abc" as 0 and silently skipped the sweep (same bug PR 7 fixed
-// for --noise-floor).
-Result<uint64_t> ParseU64Flag(const std::string& text, uint64_t fallback) {
-  if (text.empty()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
-      text.front() == '-') {
-    return Error(ErrorCode::kInvalidArgument,
-                 "\"" + text + "\" is not a nonnegative integer");
-  }
-  return static_cast<uint64_t>(value);
-}
-
-// --jobs=N executor-window width: 0 (auto) through 256, strictly parsed.
-// The old atoi path read "--jobs=abc" as 0 and silently went auto-wide.
-Result<int> ParseJobsFlag(const std::string& text) {
-  auto value = ParseU64Flag(text, 0);
-  if (!value.ok()) {
-    return value.TakeError();
-  }
-  if (*value > 256) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "\"" + text + "\" is out of range (0 = auto, max 256)");
-  }
-  return static_cast<int>(*value);
-}
-
-Result<double> ParseSecondsFlag(const std::string& text, double fallback);
 
 // Parses --arch/--flavor flags into enums; false on an unknown name.
-bool ParseArchFlavor(int argc, char** argv, Arch* arch, Flavor* flavor) {
-  std::string arch_name = FlagValue(argc, argv, "arch", "x86");
-  std::string flavor_name = FlagValue(argc, argv, "flavor", "generic");
+bool ParseArchFlavor(const Args& args, Arch* arch, Flavor* flavor) {
+  std::string arch_name = args.Text("arch", "x86");
+  std::string flavor_name = args.Text("flavor", "generic");
   bool arch_ok = false;
   for (Arch a : kAllArches) {
     if (arch_name == ArchName(a)) {
@@ -228,25 +256,26 @@ bool ParseArchFlavor(int argc, char** argv, Arch* arch, Flavor* flavor) {
   return arch_ok && flavor_ok;
 }
 
-int CmdGen(int argc, char** argv) {
-  auto version = KernelVersion::Parse(FlagValue(argc, argv, "version", "5.4"));
+// --scale/--seed, already checked by StudyOptions' rules in ParseArgs.
+StudyOptions StudyOptionsFrom(const Args& args, double default_scale) {
+  StudyOptions options;
+  options.scale = args.Real("scale", default_scale);
+  options.seed = args.U64("seed", options.seed);
+  return options;
+}
+
+int CmdGen(const Args& args) {
+  auto version = KernelVersion::Parse(args.Text("version", "5.4"));
   if (!version.ok()) {
     return DiagError(version.error().ToString());
   }
-  std::string out = FlagValue(argc, argv, "out", "");
-  if (out.empty()) {
-    return DiagError("gen requires --out=FILE");
-  }
+  std::string out = args.Text("out");
   Arch arch = Arch::kX86;
   Flavor flavor = Flavor::kGeneric;
-  if (!ParseArchFlavor(argc, argv, &arch, &flavor)) {
+  if (!ParseArchFlavor(args, &arch, &flavor)) {
     return DiagError("unknown --arch or --flavor");
   }
-  auto options = StudyOptions::Parse(argc, argv, /*default_scale=*/1.0);
-  if (!options.ok()) {
-    return DiagError(options.error());
-  }
-  Study study(options.TakeValue());
+  Study study(StudyOptionsFrom(args, /*default_scale=*/1.0));
   auto bytes = study.BuildImage(MakeBuild(*version, arch, flavor));
   if (!bytes.ok()) {
     return DiagError(bytes.error().ToString());
@@ -260,12 +289,8 @@ int CmdGen(int argc, char** argv) {
   return 0;
 }
 
-int CmdSurface(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("surface requires an IMAGE path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdSurface(const Args& args) {
+  auto bytes = ReadFile(args.pos[0]);
   if (!bytes.ok()) {
     return DiagError(bytes.error().ToString());
   }
@@ -297,13 +322,13 @@ int CmdSurface(int argc, char** argv) {
   printf("syscalls:    %zu (compat 32-bit tracing: %s)\n", surface->syscalls().size(),
          meta.compat_syscalls_traceable ? "supported" : "blind spot");
 
-  std::string func = FlagValue(argc, argv, "func", "");
+  std::string func = args.Text("func");
   if (!func.empty()) {
     const FunctionEntry* entry = surface->FindFunction(func);
     if (entry == nullptr) {
       return DiagError("no function named " + func + " on this surface");
     }
-    if (HasFlag(argc, argv, "json")) {
+    if (args.Has("json")) {
       printf("%s\n", entry->StatusJson().c_str());
     } else {
       printf("\n%s\n", entry->btf_id != 0
@@ -334,20 +359,16 @@ int CmdSurface(int argc, char** argv) {
 // Decodes an image end to end (ELF, BTF, DWARF, surface extraction) and
 // prints the metrics the pipeline collected along the way. The JSON form is
 // the same document --metrics-out writes.
-int CmdStats(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("stats requires an IMAGE path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdStats(const Args& args) {
+  auto bytes = ReadFile(args.pos[0]);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
   auto surface = DependencySurface::Extract(bytes.TakeValue());
   if (!surface.ok()) {
-    return DiagError(positional[0], surface.error());
+    return DiagError(args.pos[0], surface.error());
   }
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s\n", obs::GlobalRunReportJson().c_str());
   } else {
     printf("%s", obs::GlobalRunReportText().c_str());
@@ -392,49 +413,34 @@ std::string DiagnosticsDocJson(const std::string& image, const SurfaceHealth& he
 // extraction survived, or sweep N seeded mutations over the image and
 // assert the crash-free contract corpus-wide. Exit codes mirror `check`:
 // 0 clean, 2 salvaged (degraded subsystems), 1 unreadable container.
-int CmdDoctor(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("doctor requires an IMAGE path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdDoctor(const Args& args) {
+  const std::string& image = args.pos[0];
+  auto bytes = ReadFile(image);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
-  const bool json = HasFlag(argc, argv, "json");
-  auto sweep_flag = ParseU64Flag(FlagValue(argc, argv, "sweep", ""), 0);
-  if (!sweep_flag.ok()) {
-    return DiagError("--sweep: " + sweep_flag.error().message());
-  }
-  auto seed_flag = ParseU64Flag(FlagValue(argc, argv, "seed", ""), 2025);
-  if (!seed_flag.ok()) {
-    return DiagError("--seed: " + seed_flag.error().message());
-  }
-  auto timeout_flag =
-      ParseSecondsFlag(FlagValue(argc, argv, "mutation-timeout", ""), 30.0);
-  if (!timeout_flag.ok()) {
-    return DiagError("--mutation-timeout: " + timeout_flag.error().message());
-  }
-  const uint64_t sweep = *sweep_flag;
-  const uint64_t seed = *seed_flag;
-  const uint64_t budget_ms = static_cast<uint64_t>(*timeout_flag * 1000.0);
+  const bool json = args.Has("json");
+  const uint64_t sweep = args.U64("sweep", 0);
+  const uint64_t seed = args.U64("seed", 2025);
+  const double timeout_s = args.Real("mutation-timeout", 30.0);
+  const uint64_t budget_ms = static_cast<uint64_t>(timeout_s * 1000.0);
 
   if (sweep == 0) {
     auto surface = DependencySurface::Extract(*bytes);
     if (!surface.ok()) {
       if (json) {
-        printf("%s", DiagnosticsDocJson(positional[0], SurfaceHealth{}, &surface.error()).c_str());
+        printf("%s", DiagnosticsDocJson(image, SurfaceHealth{}, &surface.error()).c_str());
       } else {
-        printf("%s: unreadable (%s)\n", positional[0].c_str(),
+        printf("%s: unreadable (%s)\n", image.c_str(),
                surface.error().ToString().c_str());
       }
       return 1;
     }
     const SurfaceHealth& health = surface->health();
     if (json) {
-      printf("%s", DiagnosticsDocJson(positional[0], health, nullptr).c_str());
+      printf("%s", DiagnosticsDocJson(image, health, nullptr).c_str());
     } else {
-      printf("%s: %s\n", positional[0].c_str(), health.Summary().c_str());
+      printf("%s: %s\n", image.c_str(), health.Summary().c_str());
       for (const DiagnosticEntry& entry : health.ledger.entries()) {
         printf("  %s\n", entry.ToString().c_str());
       }
@@ -484,13 +490,13 @@ int CmdDoctor(int argc, char** argv) {
       obs::Diag(obs::Severity::kError,
                 StrFormat("sweep mutation %llu exceeded --mutation-timeout "
                           "(%.1fs): %s",
-                          static_cast<unsigned long long>(i), *timeout_flag,
+                          static_cast<unsigned long long>(i), timeout_s,
                           what.c_str()));
     }
   }
   printf("sweep: %llu mutations over %s: %zu clean, %zu salvaged, %zu fatal, "
          "%zu timed out, 0 crashes\n",
-         static_cast<unsigned long long>(sweep), positional[0].c_str(), clean, salvaged,
+         static_cast<unsigned long long>(sweep), image.c_str(), clean, salvaged,
          fatal, timed_out);
   return timed_out > 0 ? 1 : 0;
 }
@@ -501,36 +507,16 @@ int CmdDoctor(int argc, char** argv) {
 // salvage-vs-strict oracle. Exit codes: 0 clean campaign, 2 oracle
 // disagreements, 1 hangs or infrastructure failure. Deterministic in
 // (--seed, seed files): two runs emit byte-identical JSON and corpora.
-int CmdFuzz(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("fuzz requires at least one SEED path (image or object)");
-  }
+int CmdFuzz(const Args& args) {
   FuzzOptions options;
-  auto rounds = ParseU64Flag(FlagValue(argc, argv, "rounds", ""), 64);
-  if (!rounds.ok()) {
-    return DiagError("--rounds: " + rounds.error().message());
-  }
-  options.rounds = *rounds;
-  auto seed = ParseU64Flag(FlagValue(argc, argv, "seed", ""), 2025);
-  if (!seed.ok()) {
-    return DiagError("--seed: " + seed.error().message());
-  }
-  options.seed = *seed;
-  auto timeout =
-      ParseSecondsFlag(FlagValue(argc, argv, "mutation-timeout", ""), 10.0);
-  if (!timeout.ok()) {
-    return DiagError("--mutation-timeout: " + timeout.error().message());
-  }
-  options.time_budget_ms = static_cast<uint64_t>(*timeout * 1000.0);
-  auto max_ledger = ParseU64Flag(FlagValue(argc, argv, "max-ledger", ""), 10000);
-  if (!max_ledger.ok()) {
-    return DiagError("--max-ledger: " + max_ledger.error().message());
-  }
-  options.max_ledger_entries = static_cast<size_t>(*max_ledger);
+  options.rounds = args.U64("rounds", 64);
+  options.seed = args.U64("seed", 2025);
+  options.time_budget_ms =
+      static_cast<uint64_t>(args.Real("mutation-timeout", 10.0) * 1000.0);
+  options.max_ledger_entries = static_cast<size_t>(args.U64("max-ledger", 10000));
 
   std::vector<FuzzSeed> seeds;
-  for (const std::string& path : positional) {
+  for (const std::string& path : args.pos) {
     auto bytes = ReadFile(path);
     if (!bytes.ok()) {
       return DiagError(bytes.error());
@@ -546,14 +532,14 @@ int CmdFuzz(int argc, char** argv) {
   if (!campaign.ok()) {
     return DiagError(campaign.error());
   }
-  std::string corpus_dir = FlagValue(argc, argv, "corpus-dir", "");
+  std::string corpus_dir = args.Text("corpus-dir");
   if (!corpus_dir.empty()) {
     auto written = WriteFuzzCorpus(*campaign, corpus_dir);
     if (!written.ok()) {
       return DiagError(written.error());
     }
   }
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", RenderFuzzCampaignJson(*campaign).c_str());
     return campaign->ExitCode();
   }
@@ -582,169 +568,94 @@ int CmdFuzz(int argc, char** argv) {
   return campaign->ExitCode();
 }
 
-// Validates or canonicalizes an observability JSON file. `lint` dispatches
-// on --kind (run report, aggregate, bench report, perf comparison, trace);
-// `canon` re-emits any document in compact form with timing fields masked,
-// so two runs over the same inputs can be compared byte for byte.
-int CmdMetrics(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.size() < 2 || (positional[0] != "lint" && positional[0] != "canon")) {
-    return DiagError("metrics requires a subcommand: lint FILE | canon FILE");
+// `metrics canon` re-emits any document in compact form with timing fields
+// masked, so two runs over the same inputs can be compared byte for byte.
+int CmdMetricsCanon(const Args& args) {
+  auto text = ReadTextFile(args.pos[0]);
+  if (!text.ok()) {
+    return DiagError(text.error());
   }
-  auto bytes = ReadFile(positional[1]);
-  if (!bytes.ok()) {
-    return DiagError(bytes.error());
+  auto json = obs::ParseJson(*text);
+  if (!json.ok()) {
+    return DiagError(args.pos[0], json.error());
   }
-  std::string text(bytes->begin(), bytes->end());
-  if (positional[0] == "canon") {
-    auto json = obs::ParseJson(text);
-    if (!json.ok()) {
-      return DiagError(positional[1], json.error());
-    }
-    printf("%s\n", obs::CanonicalMaskedJson(*json).c_str());
-    return 0;
-  }
-  std::string kind = FlagValue(argc, argv, "kind", "report");
-  if (kind == "report") {
-    auto min_spans_flag = ParseU64Flag(FlagValue(argc, argv, "min-spans", ""), 0);
-    if (!min_spans_flag.ok()) {
-      return DiagError("--min-spans: " + min_spans_flag.error().message());
-    }
-    size_t min_spans = static_cast<size_t>(*min_spans_flag);
-    std::vector<std::string> required;
-    for (const std::string& name : SplitString(FlagValue(argc, argv, "require", ""), ',')) {
-      if (!name.empty()) {
-        required.push_back(name);
-      }
-    }
-    Status valid = obs::ValidateRunReport(text, min_spans, required);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    auto json = obs::ParseJson(text);
+  printf("%s\n", obs::CanonicalMaskedJson(*json).c_str());
+  return 0;
+}
+
+// The --kind values `metrics lint` checks with a plain schema validator.
+struct LintKind {
+  const char* kind;
+  Status (*validate)(std::string_view);
+  const char* schema;
+};
+
+constexpr LintKind kLintKinds[] = {
+    {"agg", obs::ValidateAggReport, obs::kRunReportAggSchema},
+    {"bench", obs::ValidateBenchReport, obs::kBenchReportSchema},
+    {"perf", obs::ValidatePerfCompare, obs::kPerfCompareSchema},
+    {"diag", obs::ValidateDiagnosticsDoc, obs::kDiagnosticsSchema},
+    {"analysis", obs::ValidateAnalysisDoc, kAnalysisSchema},
+    {"remediation", obs::ValidateRemediationDoc, kRemediationSchema},
+    {"profile", obs::ValidateProfileDoc, obs::kProfileSchema},
+    {"trend", obs::ValidateTrendDoc, obs::kPerfTrendSchema},
+    {"profile_diff", obs::ValidateProfileDiffDoc, obs::kProfileDiffSchema},
+    {"fuzz", obs::ValidateFuzzCampaignDoc, kFuzzCampaignSchema},
+    {"serve", obs::ValidateServeReportDoc, kServeReportSchema},
+};
+
+// Prints the lint notes of a run report or aggregate (silent when the text
+// does not parse; the validator has already judged it).
+void PrintLintNotes(const std::string& path, const std::string& text) {
+  if (auto json = obs::ParseJson(text); json.ok()) {
     for (const std::string& note : obs::RunReportLintNotes(*json)) {
-      printf("note: %s: %s\n", positional[1].c_str(), note.c_str());
+      printf("note: %s: %s\n", path.c_str(), note.c_str());
     }
-    printf("%s: valid %s (%zu distinct spans)\n", positional[1].c_str(),
-           obs::kRunReportSchema, obs::CollectSpanNames(*json).size());
-    return 0;
   }
-  if (kind == "agg") {
-    Status valid = obs::ValidateAggReport(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    if (auto json = obs::ParseJson(text); json.ok()) {
-      for (const std::string& note : obs::RunReportLintNotes(*json)) {
-        printf("note: %s: %s\n", positional[1].c_str(), note.c_str());
-      }
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kRunReportAggSchema);
-    return 0;
+}
+
+// `metrics lint` validates an observability document, dispatching on --kind.
+int CmdMetricsLint(const Args& args) {
+  const std::string& path = args.pos[0];
+  auto read = ReadTextFile(path);
+  if (!read.ok()) {
+    return DiagError(read.error());
   }
-  if (kind == "profile") {
-    Status valid = obs::ValidateProfileDoc(text);
+  const std::string& text = *read;
+  std::string kind = args.Text("kind", "report");
+  if (kind == "report") {
+    Status valid = obs::ValidateRunReport(text, static_cast<size_t>(args.U64("min-spans", 0)),
+                                          SplitList(args.Text("require")));
     if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
+      return DiagError(path, valid.error());
     }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kProfileSchema);
-    return 0;
-  }
-  if (kind == "bench") {
-    Status valid = obs::ValidateBenchReport(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kBenchReportSchema);
-    return 0;
-  }
-  if (kind == "perf") {
-    Status valid = obs::ValidatePerfCompare(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kPerfCompareSchema);
-    return 0;
-  }
-  if (kind == "diag") {
-    Status valid = obs::ValidateDiagnosticsDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kDiagnosticsSchema);
-    return 0;
-  }
-  if (kind == "analysis") {
-    Status valid = obs::ValidateAnalysisDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid depsurf.analysis.v1\n", positional[1].c_str());
-    return 0;
-  }
-  if (kind == "remediation") {
-    Status valid = obs::ValidateRemediationDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid depsurf.remediation.v1\n", positional[1].c_str());
-    return 0;
-  }
-  if (kind == "fuzz") {
-    Status valid = obs::ValidateFuzzCampaignDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), kFuzzCampaignSchema);
+    PrintLintNotes(path, text);
+    printf("%s: valid %s (%zu distinct spans)\n", path.c_str(), obs::kRunReportSchema,
+           obs::CollectSpanNames(*obs::ParseJson(text)).size());
     return 0;
   }
   if (kind == "history") {
     size_t records = 0;
     Status valid = obs::ValidateHistoryNdjson(text, &records);
     if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
+      return DiagError(path, valid.error());
     }
-    printf("%s: valid %s (%zu records)\n", positional[1].c_str(), obs::kPerfHistorySchema,
-           records);
-    return 0;
-  }
-  if (kind == "trend") {
-    Status valid = obs::ValidateTrendDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kPerfTrendSchema);
-    return 0;
-  }
-  if (kind == "profile_diff") {
-    Status valid = obs::ValidateProfileDiffDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid %s\n", positional[1].c_str(), obs::kProfileDiffSchema);
-    return 0;
-  }
-  if (kind == "serve") {
-    Status valid = obs::ValidateServeReportDoc(text);
-    if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
-    }
-    printf("%s: valid depsurf.serve_report.v1\n", positional[1].c_str());
+    printf("%s: valid %s (%zu records)\n", path.c_str(), obs::kPerfHistorySchema, records);
     return 0;
   }
   if (kind == "trace") {
     auto json = obs::ParseJson(text);
     if (!json.ok()) {
-      return DiagError(positional[1], json.error());
+      return DiagError(path, json.error());
     }
     int64_t expect_events = -1;
-    std::string report_path = FlagValue(argc, argv, "report", "");
+    std::string report_path = args.Text("report");
     if (!report_path.empty()) {
-      auto report_bytes = ReadFile(report_path);
-      if (!report_bytes.ok()) {
-        return DiagError(report_bytes.error());
+      auto report_text = ReadTextFile(report_path);
+      if (!report_text.ok()) {
+        return DiagError(report_text.error());
       }
-      auto report = obs::ParseJson(std::string(report_bytes->begin(), report_bytes->end()));
+      auto report = obs::ParseJson(*report_text);
       if (!report.ok()) {
         return DiagError(report_path, report.error());
       }
@@ -752,123 +663,79 @@ int CmdMetrics(int argc, char** argv) {
     }
     Status valid = obs::ValidateTrace(*json, expect_events);
     if (!valid.ok()) {
-      return DiagError(positional[1], valid.error());
+      return DiagError(path, valid.error());
     }
-    printf("%s: valid trace_event JSON (%zu events)\n", positional[1].c_str(),
+    printf("%s: valid trace_event JSON (%zu events)\n", path.c_str(),
            json->Find("traceEvents")->array.size());
     return 0;
   }
-  return DiagError("unknown --kind=" + kind +
-                   " (valid kinds: report|agg|bench|perf|trace|diag|analysis|"
-                   "remediation|profile|history|trend|profile_diff|fuzz|serve)");
+  std::string kinds = "report|history|trace";
+  for (const LintKind& entry : kLintKinds) {
+    kinds += std::string("|") + entry.kind;
+    if (kind != entry.kind) {
+      continue;
+    }
+    Status valid = entry.validate(text);
+    if (!valid.ok()) {
+      return DiagError(path, valid.error());
+    }
+    if (kind == "agg") {
+      PrintLintNotes(path, text);
+    }
+    printf("%s: valid %s\n", path.c_str(), entry.schema);
+    return 0;
+  }
+  return DiagError("unknown --kind=" + kind + " (valid kinds: " + kinds + ")");
+}
+
+// `report flame REPORT.json [--out=FILE]`: folded stacks
+// (`root;child;leaf self_ns` lines) from a run report or aggregate, directly
+// consumable by flamegraph.pl / speedscope.
+int CmdReportFlame(const Args& args) {
+  auto text = ReadTextFile(args.pos[0]);
+  if (!text.ok()) {
+    return DiagError(text.error());
+  }
+  auto folded = obs::FoldedStacksFromReportJson(*text);
+  if (!folded.ok()) {
+    return DiagError(args.pos[0], folded.error());
+  }
+  std::string out_path = args.Text("out");
+  if (out_path.empty()) {
+    printf("%s", folded->c_str());
+    return 0;
+  }
+  Status written = WriteFile(out_path, *folded);
+  if (!written.ok()) {
+    return DiagError(written.error());
+  }
+  printf("wrote %s (%zu bytes)\n", out_path.c_str(), folded->size());
+  return 0;
 }
 
 // Merges run reports (per-image documents from a study build, or prior
 // aggregates) into one depsurf.run_report_agg.v1 file.
-int CmdReport(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  // `report flame REPORT.json [--out=FILE]`: folded stacks
-  // (`root;child;leaf self_ns` lines) from a run report or aggregate,
-  // directly consumable by flamegraph.pl / speedscope.
-  if (!positional.empty() && positional[0] == "flame") {
-    if (positional.size() < 2) {
-      return DiagError("report flame requires a REPORT.json path");
-    }
-    auto bytes = ReadFile(positional[1]);
-    if (!bytes.ok()) {
-      return DiagError(bytes.error());
-    }
-    auto folded = obs::FoldedStacksFromReportJson(std::string(bytes->begin(), bytes->end()));
-    if (!folded.ok()) {
-      return DiagError(positional[1], folded.error());
-    }
-    std::string out_path = FlagValue(argc, argv, "out", "");
-    if (out_path.empty()) {
-      printf("%s", folded->c_str());
-      return 0;
-    }
-    std::ofstream out(out_path, std::ios::binary);
-    out.write(folded->data(), static_cast<std::streamsize>(folded->size()));
-    if (!out) {
-      return DiagError("cannot write " + out_path);
-    }
-    printf("wrote %s (%zu bytes)\n", out_path.c_str(), folded->size());
-    return 0;
-  }
-  if (positional.size() < 3 || positional[0] != "merge") {
-    return DiagError(
-        "report requires a subcommand: merge OUT IN... | flame REPORT.json [--out=FILE]");
-  }
+int CmdReportMerge(const Args& args) {
+  const std::string& out_path = args.pos[0];
   std::vector<obs::LabeledReport> reports;
-  for (size_t i = 2; i < positional.size(); ++i) {
-    auto bytes = ReadFile(positional[i]);
-    if (!bytes.ok()) {
-      return DiagError(bytes.error());
+  for (size_t i = 1; i < args.pos.size(); ++i) {
+    auto text = ReadTextFile(args.pos[i]);
+    if (!text.ok()) {
+      return DiagError(text.error());
     }
-    reports.push_back(
-        obs::LabeledReport{positional[i], std::string(bytes->begin(), bytes->end())});
+    reports.push_back(obs::LabeledReport{args.pos[i], text.TakeValue()});
   }
   auto merged = obs::MergeRunReports(reports);
   if (!merged.ok()) {
     return DiagError(merged.error());
   }
-  std::ofstream out(positional[1], std::ios::binary);
-  if (!out) {
-    return DiagError("cannot write " + positional[1]);
+  Status written = WriteFile(out_path, *merged);
+  if (!written.ok()) {
+    return DiagError(written.error());
   }
-  out.write(merged->data(), static_cast<std::streamsize>(merged->size()));
-  if (!out) {
-    return DiagError("short write to " + positional[1]);
-  }
-  printf("wrote %s (%zu input reports, %zu bytes)\n", positional[1].c_str(), reports.size(),
+  printf("wrote %s (%zu input reports, %zu bytes)\n", out_path.c_str(), reports.size(),
          merged->size());
   return 0;
-}
-
-// Accepts "15%", "15", or "0.15" — all meaning a 15% threshold; empty
-// means the fallback. Anything non-numeric is an error: the old atof path
-// read "--max-regress=abc" as 0 and turned the gate into a tripwire on
-// pure noise.
-Result<double> ParseRatioFlag(const std::string& text, double fallback) {
-  if (text.empty()) {
-    return fallback;
-  }
-  bool percent = text.back() == '%';
-  std::string digits = percent ? text.substr(0, text.size() - 1) : text;
-  char* end = nullptr;
-  double value = digits.empty() ? 0 : strtod(digits.c_str(), &end);
-  if (digits.empty() || end == nullptr || *end != '\0' || !std::isfinite(value) ||
-      value <= 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "\"" + text + "\" is not a positive ratio (try 15%, 15, or 0.15)");
-  }
-  if (percent || value > 1.0) {
-    value /= 100.0;
-  }
-  return value;
-}
-
-// A nonnegative seconds value; empty means the fallback, anything that does
-// not fully parse as a finite number is an error.
-Result<double> ParseSecondsFlag(const std::string& text, double fallback) {
-  if (text.empty()) {
-    return fallback;
-  }
-  char* end = nullptr;
-  double value = strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || !std::isfinite(value) || value < 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "\"" + text + "\" is not a nonnegative number of seconds");
-  }
-  return value;
-}
-
-Result<std::string> ReadTextFile(const std::string& path) {
-  auto bytes = ReadFile(path);
-  if (!bytes.ok()) {
-    return bytes.TakeError();
-  }
-  return std::string(bytes->begin(), bytes->end());
 }
 
 // Loads an NDJSON history store from disk.
@@ -884,26 +751,32 @@ Result<std::vector<obs::HistoryRecord>> LoadHistory(const std::string& path) {
   return records;
 }
 
+// Loads the stage timings of a bench report or run report from disk.
+Result<std::vector<obs::StageTiming>> LoadStageTimings(const std::string& path) {
+  auto text = ReadTextFile(path);
+  if (!text.ok()) {
+    return text.TakeError();
+  }
+  auto json = obs::ParseJson(*text);
+  if (!json.ok()) {
+    return json.TakeError().Wrap(path);
+  }
+  auto timings = obs::LoadStageTimings(*json);
+  if (!timings.ok()) {
+    return timings.TakeError().Wrap(path);
+  }
+  return timings;
+}
+
 // The perf regression gate: exit 0 when no stage regressed beyond the
 // threshold, 3 when one did (1 stays "could not compare at all"). With
 // --history=FILE, per-stage adaptive noise floors from the run history
 // replace the hardcoded default for every stage the history has seen.
-int CmdPerfCompare(int argc, char** argv, const std::vector<std::string>& positional) {
-  if (positional.size() < 3) {
-    return DiagError("perf compare requires BASE.json and HEAD.json");
-  }
+int CmdPerfCompare(const Args& args) {
   obs::PerfGateOptions options;
-  auto ratio = ParseRatioFlag(FlagValue(argc, argv, "max-regress", ""), 0.15);
-  if (!ratio.ok()) {
-    return DiagError("--max-regress: " + ratio.error().message());
-  }
-  options.max_regress = *ratio;
-  auto floor = ParseSecondsFlag(FlagValue(argc, argv, "noise-floor", ""), 0.005);
-  if (!floor.ok()) {
-    return DiagError("--noise-floor: " + floor.error().message());
-  }
-  options.noise_floor_seconds = *floor;
-  std::string history_path = FlagValue(argc, argv, "history", "");
+  options.max_regress = args.Real("max-regress", 0.15);
+  options.noise_floor_seconds = args.Real("noise-floor", 0.005);
+  std::string history_path = args.Text("history");
   if (!history_path.empty()) {
     auto records = LoadHistory(history_path);
     if (!records.ok()) {
@@ -916,23 +789,15 @@ int CmdPerfCompare(int argc, char** argv, const std::vector<std::string>& positi
     options.stage_delta_floors_seconds = obs::AdaptiveStageFloors(trend);
   }
   std::vector<std::vector<obs::StageTiming>> sides;
-  for (size_t i = 1; i <= 2; ++i) {
-    auto text = ReadTextFile(positional[i]);
-    if (!text.ok()) {
-      return DiagError(text.error());
-    }
-    auto json = obs::ParseJson(*text);
-    if (!json.ok()) {
-      return DiagError(positional[i], json.error());
-    }
-    auto timings = obs::LoadStageTimings(*json);
+  for (const std::string& path : args.pos) {
+    auto timings = LoadStageTimings(path);
     if (!timings.ok()) {
-      return DiagError(positional[i], timings.error());
+      return DiagError(timings.error());
     }
     sides.push_back(timings.TakeValue());
   }
   obs::PerfComparison comparison = obs::ComparePerf(sides[0], sides[1], options);
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", obs::PerfComparisonJson(comparison, options).c_str());
   } else {
     printf("%s", obs::PerfComparisonText(comparison).c_str());
@@ -943,13 +808,10 @@ int CmdPerfCompare(int argc, char** argv, const std::vector<std::string>& positi
 // Appends one depsurf.perf_history.v1 record (all stages across the given
 // bench/run reports, the optional profile's critical-path summary, host
 // fingerprint, label) to an NDJSON history store.
-int CmdPerfRecord(int argc, char** argv, const std::vector<std::string>& positional) {
-  std::string history_path = FlagValue(argc, argv, "history", "");
-  if (positional.size() < 2 || history_path.empty()) {
-    return DiagError("perf record requires BENCH.json... and --history=FILE");
-  }
+int CmdPerfRecord(const Args& args) {
+  std::string history_path = args.Text("history");
   obs::HistoryRecord record;
-  record.label = FlagValue(argc, argv, "label", "");
+  record.label = args.Text("label");
   if (record.label.empty()) {
     const char* env = getenv("DEPSURF_BUILD_LABEL");
     record.label = env != nullptr && env[0] != '\0' ? env : "unlabeled";
@@ -960,22 +822,14 @@ int CmdPerfRecord(int argc, char** argv, const std::vector<std::string>& positio
                                 std::chrono::system_clock::now().time_since_epoch())
                                 .count();
   record.host = obs::CurrentHostFingerprint();
-  for (size_t i = 1; i < positional.size(); ++i) {
-    auto text = ReadTextFile(positional[i]);
-    if (!text.ok()) {
-      return DiagError(text.error());
-    }
-    auto json = obs::ParseJson(*text);
-    if (!json.ok()) {
-      return DiagError(positional[i], json.error());
-    }
-    auto timings = obs::LoadStageTimings(*json);
+  for (const std::string& path : args.pos) {
+    auto timings = LoadStageTimings(path);
     if (!timings.ok()) {
-      return DiagError(positional[i], timings.error());
+      return DiagError(timings.error());
     }
     obs::AddStageTimings(record, *timings);
   }
-  std::string profile_path = FlagValue(argc, argv, "profile", "");
+  std::string profile_path = args.Text("profile");
   if (!profile_path.empty()) {
     auto text = ReadTextFile(profile_path);
     if (!text.ok()) {
@@ -1000,36 +854,22 @@ int CmdPerfRecord(int argc, char** argv, const std::vector<std::string>& positio
 // Robust per-stage baselines over the history store: median/MAD, the
 // latest run's deviation, change-point flags, and the adaptive floor each
 // stage would gate with.
-int CmdPerfTrend(int argc, char** argv) {
-  std::string history_path = FlagValue(argc, argv, "history", "");
-  if (history_path.empty()) {
-    return DiagError("perf trend requires --history=FILE");
-  }
+int CmdPerfTrend(const Args& args) {
   obs::TrendOptions options;
-  // A zero window would mean "baseline over no runs" — reject it along with
-  // anything the old unvalidated strtoull silently read as 0. Flags are
-  // checked before the history loads so the error names the flag.
-  auto window = ParseU64Flag(FlagValue(argc, argv, "window", ""), 8);
-  if (!window.ok()) {
-    return DiagError("--window: " + window.error().message());
-  }
-  if (*window == 0) {
+  // A zero window would mean "baseline over no runs". Checked before the
+  // history loads so the error names the flag.
+  options.window = static_cast<size_t>(args.U64("window", options.window));
+  if (options.window == 0) {
     return DiagError("--window: must be at least 1");
   }
-  options.window = static_cast<size_t>(*window);
-  auto records = LoadHistory(history_path);
+  options.min_floor_seconds = args.Real("min-floor", options.min_floor_seconds);
+  auto records = LoadHistory(args.Text("history"));
   if (!records.ok()) {
     return DiagError(records.error());
   }
-  auto min_floor = ParseSecondsFlag(FlagValue(argc, argv, "min-floor", ""),
-                                    options.min_floor_seconds);
-  if (!min_floor.ok()) {
-    return DiagError("--min-floor: " + min_floor.error().message());
-  }
-  options.min_floor_seconds = *min_floor;
   obs::TrendReport report =
       obs::AnalyzeTrend(*records, obs::CurrentHostFingerprint(), options);
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", obs::TrendReportJson(report).c_str());
   } else {
     printf("%s", obs::TrendReportText(report).c_str());
@@ -1039,33 +879,26 @@ int CmdPerfTrend(int argc, char** argv) {
 
 // Differential profile attribution: which span names and which critical-
 // path chain got slower between two depsurf.profile.v1 documents.
-int CmdPerfDiff(int argc, char** argv, const std::vector<std::string>& positional) {
-  if (positional.size() < 3) {
-    return DiagError("perf diff requires BASE_PROFILE.json and HEAD_PROFILE.json");
-  }
-  // Flags are checked before the profiles load so the error names the flag.
-  auto top_flag = ParseU64Flag(FlagValue(argc, argv, "top", ""), 10);
-  if (!top_flag.ok()) {
-    return DiagError("--top: " + top_flag.error().message());
-  }
-  if (*top_flag == 0) {
+int CmdPerfDiff(const Args& args) {
+  // Checked before the profiles load so the error names the flag.
+  size_t top = static_cast<size_t>(args.U64("top", 10));
+  if (top == 0) {
     return DiagError("--top: must be at least 1");
   }
-  size_t top = static_cast<size_t>(*top_flag);
   std::vector<obs::Profile> profiles;
-  for (size_t i = 1; i <= 2; ++i) {
-    auto text = ReadTextFile(positional[i]);
+  for (const std::string& path : args.pos) {
+    auto text = ReadTextFile(path);
     if (!text.ok()) {
       return DiagError(text.error());
     }
     auto profile = obs::ParseProfileDoc(*text);
     if (!profile.ok()) {
-      return DiagError(positional[i], profile.error());
+      return DiagError(path, profile.error());
     }
     profiles.push_back(profile.TakeValue());
   }
   obs::ProfileDiff diff = obs::DiffProfiles(profiles[0], profiles[1], top);
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", obs::ProfileDiffJson(diff).c_str());
   } else {
     printf("%s", obs::ProfileDiffText(diff).c_str());
@@ -1073,52 +906,26 @@ int CmdPerfDiff(int argc, char** argv, const std::vector<std::string>& positiona
   return 0;
 }
 
-int CmdPerf(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("perf requires a subcommand: compare|record|trend|diff");
-  }
-  if (positional[0] == "compare") {
-    return CmdPerfCompare(argc, argv, positional);
-  }
-  if (positional[0] == "record") {
-    return CmdPerfRecord(argc, argv, positional);
-  }
-  if (positional[0] == "trend") {
-    return CmdPerfTrend(argc, argv);
-  }
-  if (positional[0] == "diff") {
-    return CmdPerfDiff(argc, argv, positional);
-  }
-  return DiagError("unknown perf subcommand " + positional[0] +
-                   " (compare|record|trend|diff)");
-}
-
 // Shared by `study build` and `profile --live`: --versions/--arch/--flavor
-// into a build corpus (empty --versions means the bundled LTS set).
-Result<std::vector<BuildSpec>> CorpusFromFlags(int argc, char** argv) {
+// into a build corpus (no --versions means the bundled LTS set).
+Result<std::vector<BuildSpec>> CorpusFromFlags(const Args& args) {
   Arch arch = Arch::kX86;
   Flavor flavor = Flavor::kGeneric;
-  if (!ParseArchFlavor(argc, argv, &arch, &flavor)) {
+  if (!ParseArchFlavor(args, &arch, &flavor)) {
     return Error(ErrorCode::kInvalidArgument, "unknown --arch or --flavor");
   }
   std::vector<BuildSpec> corpus;
-  std::string versions = FlagValue(argc, argv, "versions", "");
-  if (versions.empty()) {
+  if (!args.Has("versions")) {
     for (KernelVersion version : kLtsVersions) {
       corpus.push_back(MakeBuild(version, arch, flavor));
     }
-  } else {
-    for (const std::string& text : SplitString(versions, ',')) {
-      if (text.empty()) {
-        continue;
-      }
-      auto version = KernelVersion::Parse(text);
-      if (!version.ok()) {
-        return version.TakeError();
-      }
-      corpus.push_back(MakeBuild(*version, arch, flavor));
+  }
+  for (const std::string& text : SplitList(args.Text("versions"))) {
+    auto version = KernelVersion::Parse(text);
+    if (!version.ok()) {
+      return version.TakeError();
     }
+    corpus.push_back(MakeBuild(*version, arch, flavor));
   }
   if (corpus.empty()) {
     return Error(ErrorCode::kInvalidArgument, "empty corpus (check --versions)");
@@ -1128,35 +935,34 @@ Result<std::vector<BuildSpec>> CorpusFromFlags(int argc, char** argv) {
 
 // Corpus builds from the CLI: generate + extract + distill a whole version
 // corpus, optionally writing per-image run reports and their aggregate.
-int CmdStudy(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty() || positional[0] != "build") {
-    return DiagError("study requires a subcommand: build");
-  }
-  auto corpus_or = CorpusFromFlags(argc, argv);
+int CmdStudyBuild(const Args& args) {
+  auto corpus_or = CorpusFromFlags(args);
   if (!corpus_or.ok()) {
     return DiagError("study build: " + corpus_or.error().message());
   }
   std::vector<BuildSpec> corpus = corpus_or.TakeValue();
-  auto options = StudyOptions::Parse(argc, argv, /*default_scale=*/1.0);
-  if (!options.ok()) {
-    return DiagError(options.error());
+  // Created before any image is built, so a bad path fails fast and the
+  // error names the flag.
+  std::string report_dir = args.Text("report-dir");
+  if (!report_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(report_dir, ec);
+    if (ec) {
+      return DiagError(StrFormat("study build: --report-dir: cannot create %s: %s",
+                                 report_dir.c_str(), ec.message().c_str()));
+    }
   }
-  Study study(options.TakeValue());
-  // Failure policy: --keep-going (the default) quarantines images whose
+  Study study(StudyOptionsFrom(args, /*default_scale=*/1.0));
+  // Failure policy: by default the build quarantines images whose
   // extraction dies outright; --strict aborts the whole build instead.
   BuildPolicy policy;
-  policy.keep_going = !HasFlag(argc, argv, "strict");
+  policy.keep_going = !args.Has("strict");
   // --jobs=N: width of the concurrent generate+extract window (0 = auto).
-  auto jobs = ParseJobsFlag(FlagValue(argc, argv, "jobs", ""));
-  if (!jobs.ok()) {
-    return DiagError("--jobs: " + jobs.error().message());
-  }
-  policy.jobs = *jobs;
+  policy.jobs = static_cast<int>(args.U64("jobs", 0));
   // --poison=LABEL (testing aid): truncate the named image below the ELF
   // header before extraction, guaranteeing a fatal failure on exactly that
   // image so the quarantine path can be demonstrated end to end.
-  std::string poison = FlagValue(argc, argv, "poison", "");
+  std::string poison = args.Text("poison");
   if (!poison.empty()) {
     study.SetImageMutator([poison](const BuildSpec& build, std::vector<uint8_t>& bytes) {
       if (build.Label() == poison && bytes.size() > 16) {
@@ -1168,7 +974,6 @@ int CmdStudy(int argc, char** argv) {
     printf("[%zu/%zu] %-28s %.2f s%s\n", p.index + 1, p.total, p.label.c_str(), p.seconds,
            p.quarantined ? "  (quarantined)" : "");
   };
-  std::string report_dir = FlagValue(argc, argv, "report-dir", "");
   Study::DatasetReportFiles files;
   std::vector<QuarantinedImage> quarantined;
   auto dataset = report_dir.empty()
@@ -1181,7 +986,7 @@ int CmdStudy(int argc, char** argv) {
   for (const QuarantinedImage& image : quarantined) {
     printf("quarantined %s: %s\n", image.label.c_str(), image.error.ToString().c_str());
   }
-  std::string out = FlagValue(argc, argv, "out", "");
+  std::string out = args.Text("out");
   if (!out.empty()) {
     std::vector<uint8_t> bytes = SaveDataset(*dataset);
     Status written = WriteFile(out, bytes);
@@ -1199,17 +1004,17 @@ int CmdStudy(int argc, char** argv) {
   }
   // --profile-out=FILE: write a depsurf.profile.v1 self-profile of the
   // build that just ran (aggregate tables, critical path, executor stats).
-  std::string profile_out = FlagValue(argc, argv, "profile-out", "");
+  std::string profile_out = args.Text("profile-out");
   if (!profile_out.empty()) {
     obs::Profile profile;
     if (!report_dir.empty()) {
       // Report mode resets the root collectors between images; the
       // aggregate on disk is the authoritative span record.
-      auto bytes = ReadFile(files.aggregate);
-      if (!bytes.ok()) {
-        return DiagError(bytes.error());
+      auto text = ReadTextFile(files.aggregate);
+      if (!text.ok()) {
+        return DiagError(text.error());
       }
-      auto parsed = obs::ProfileFromReportJson(std::string(bytes->begin(), bytes->end()));
+      auto parsed = obs::ProfileFromReportJson(*text);
       if (!parsed.ok()) {
         return DiagError(files.aggregate, parsed.error());
       }
@@ -1218,44 +1023,42 @@ int CmdStudy(int argc, char** argv) {
       profile = obs::BuildProfile(obs::SpanCollector::Global().Snapshot());
     }
     obs::FillExecutorStats(profile, obs::MetricsRegistry::Global());
-    std::string json = obs::ProfileJson(profile);
-    std::ofstream pout(profile_out, std::ios::binary);
-    pout.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!pout) {
-      return DiagError("cannot write " + profile_out);
+    Status written = WriteFile(profile_out, obs::ProfileJson(profile));
+    if (!written.ok()) {
+      return DiagError(written.error());
     }
     printf("wrote %s (%s)\n", profile_out.c_str(), obs::kProfileSchema);
   }
   return 0;
 }
 
+// True when `text` is a depsurf.profile.v1 document.
+bool IsProfileDoc(const std::string& text) {
+  auto json = obs::ParseJson(text);
+  const obs::JsonValue* schema = json.ok() ? json->Find("schema") : nullptr;
+  return schema != nullptr && schema->string == obs::kProfileSchema;
+}
+
 // Self-profile of a run: per-name self-time/CPU/alloc aggregates, the
 // critical path (the serial distill/serialize share of wall time), and
 // executor stats. Input is a run report or aggregate from `study build
-// --report-dir`; --live instead runs a corpus build in-process and
-// profiles the spans it just recorded.
-int CmdProfile(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
+// --report-dir`, or a depsurf.profile.v1 document (`study build
+// --profile-out`, `profile --out`); --live instead runs a corpus build
+// in-process and profiles the spans it just recorded.
+int CmdProfile(const Args& args) {
   obs::Profile profile;
   std::string folded;
-  if (HasFlag(argc, argv, "live")) {
-    auto corpus = CorpusFromFlags(argc, argv);
+  std::string folded_path = args.Text("folded-out");
+  if (args.Has("live")) {
+    auto corpus = CorpusFromFlags(args);
     if (!corpus.ok()) {
       return DiagError("profile --live: " + corpus.error().message());
     }
     // Small default scale: --live exists to profile the pipeline's shape,
     // not to build a production dataset.
-    auto options = StudyOptions::Parse(argc, argv, /*default_scale=*/0.25);
-    if (!options.ok()) {
-      return DiagError(options.error());
-    }
-    Study study(options.TakeValue());
+    Study study(StudyOptionsFrom(args, /*default_scale=*/0.25));
     BuildPolicy policy;
-    auto jobs = ParseJobsFlag(FlagValue(argc, argv, "jobs", ""));
-    if (!jobs.ok()) {
-      return DiagError("--jobs: " + jobs.error().message());
-    }
-    policy.jobs = *jobs;
+    policy.jobs = static_cast<int>(args.U64("jobs", 0));
     auto dataset = study.BuildDataset(*corpus, {}, policy, nullptr);
     if (!dataset.ok()) {
       return DiagError(dataset.error());
@@ -1265,44 +1068,45 @@ int CmdProfile(int argc, char** argv) {
     obs::FillExecutorStats(profile, obs::MetricsRegistry::Global());
     folded = obs::FoldedStacks(roots);
   } else {
-    if (positional.empty()) {
+    if (args.pos.empty()) {
       return DiagError("profile requires a RUN_REPORT.json path or --live");
     }
-    auto bytes = ReadFile(positional[0]);
-    if (!bytes.ok()) {
-      return DiagError(bytes.error());
+    const std::string& path = args.pos[0];
+    auto text = ReadTextFile(path);
+    if (!text.ok()) {
+      return DiagError(text.error());
     }
-    std::string text(bytes->begin(), bytes->end());
-    auto parsed = obs::ProfileFromReportJson(text);
+    const bool is_profile = IsProfileDoc(*text);
+    if (is_profile && !folded_path.empty()) {
+      return DiagError("profile: --folded-out needs a run report or --live; " + path +
+                       " is a " + obs::kProfileSchema + " document, which has no stacks");
+    }
+    auto parsed =
+        is_profile ? obs::ParseProfileDoc(*text) : obs::ProfileFromReportJson(*text);
     if (!parsed.ok()) {
-      return DiagError(positional[0], parsed.error());
+      return DiagError(path, parsed.error());
     }
     profile = parsed.TakeValue();
-    auto folded_or = obs::FoldedStacksFromReportJson(text);
-    if (folded_or.ok()) {
+    if (auto folded_or = obs::FoldedStacksFromReportJson(*text); folded_or.ok()) {
       folded = folded_or.TakeValue();
     }
   }
-  std::string out_path = FlagValue(argc, argv, "out", "");
+  std::string out_path = args.Text("out");
   if (!out_path.empty()) {
-    std::string json = obs::ProfileJson(profile);
-    std::ofstream out(out_path, std::ios::binary);
-    out.write(json.data(), static_cast<std::streamsize>(json.size()));
-    if (!out) {
-      return DiagError("cannot write " + out_path);
+    Status written = WriteFile(out_path, obs::ProfileJson(profile));
+    if (!written.ok()) {
+      return DiagError(written.error());
     }
     printf("wrote %s (%s)\n", out_path.c_str(), obs::kProfileSchema);
   }
-  std::string folded_path = FlagValue(argc, argv, "folded-out", "");
   if (!folded_path.empty()) {
-    std::ofstream out(folded_path, std::ios::binary);
-    out.write(folded.data(), static_cast<std::streamsize>(folded.size()));
-    if (!out) {
-      return DiagError("cannot write " + folded_path);
+    Status written = WriteFile(folded_path, folded);
+    if (!written.ok()) {
+      return DiagError(written.error());
     }
     printf("wrote %s (%zu bytes folded stacks)\n", folded_path.c_str(), folded.size());
   }
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", obs::ProfileJson(profile).c_str());
   } else if (out_path.empty() && folded_path.empty()) {
     printf("%s", obs::ProfileText(profile).c_str());
@@ -1310,13 +1114,9 @@ int CmdProfile(int argc, char** argv) {
   return 0;
 }
 
-int CmdDiff(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.size() < 2) {
-    return DiagError("diff requires OLD and NEW image paths");
-  }
-  auto old_bytes = ReadFile(positional[0]);
-  auto new_bytes = ReadFile(positional[1]);
+int CmdDiff(const Args& args) {
+  auto old_bytes = ReadFile(args.pos[0]);
+  auto new_bytes = ReadFile(args.pos[1]);
   if (!old_bytes.ok() || !new_bytes.ok()) {
     return DiagError("cannot read images");
   }
@@ -1336,7 +1136,7 @@ int CmdDiff(int argc, char** argv) {
   printf("tracepoints: +%zu -%zu changed %zu\n", diff.tracepoints.added.size(),
          diff.tracepoints.removed.size(), diff.tracepoints.changed.size());
   printf("syscalls:    +%zu -%zu\n", diff.syscalls.added.size(), diff.syscalls.removed.size());
-  if (HasFlag(argc, argv, "verbose")) {
+  if (args.Has("verbose")) {
     for (const auto& [name, kinds] : diff.funcs.changed) {
       printf("  func %s:", name.c_str());
       for (FuncChangeKind kind : kinds) {
@@ -1355,10 +1155,10 @@ int CmdDiff(int argc, char** argv) {
   return 0;
 }
 
-int CmdCheck(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  std::string dataset_path = FlagValue(argc, argv, "dataset", "");
-  if (positional.empty() || (positional.size() < 2 && dataset_path.empty())) {
+int CmdCheck(const Args& args) {
+  const std::vector<std::string>& positional = args.pos;
+  std::string dataset_path = args.Text("dataset");
+  if (positional.size() < 2 && dataset_path.empty()) {
     return DiagError("check requires OBJECT and either IMAGE... or --dataset=FILE");
   }
   auto object_bytes = ReadFile(positional[0]);
@@ -1415,38 +1215,24 @@ int CmdCheck(int argc, char** argv) {
 // Static analysis of a compiled object's instruction streams (CFG,
 // reachability, register provenance, guard dominance). Exit 0 when clean,
 // 2 when the analyzer reports findings, 1 when the object is unreadable.
-int CmdAnalyze(int argc, char** argv) {
-  if (int rc = RejectUnknownFlags(argc, argv, "analyze", {"against", "json"})) {
-    return rc;
-  }
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("analyze requires an OBJECT path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdAnalyze(const Args& args) {
+  const std::string& path = args.pos[0];
+  auto bytes = ReadFile(path);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
   DiagnosticLedger ledger;
   auto object = ParseBpfObject(bytes.TakeValue(), &ledger);
   if (!object.ok()) {
-    return DiagError(positional[0] + ": " + object.error().ToString());
+    return DiagError(path + ": " + object.error().ToString());
   }
   std::vector<Dataset> datasets;
   AnalyzeOptions opts;
-  std::string against = FlagValue(argc, argv, "against", "");
-  if (!against.empty()) {
-    auto loaded = LoadAgainstDatasets(against);
-    if (!loaded.ok()) {
-      return DiagError(loaded.error());
-    }
-    datasets = loaded.TakeValue();
-    for (const Dataset& ds : datasets) {
-      opts.against_all.push_back(&ds);
-    }
+  if (Status loaded = LoadAgainstDatasets(args, datasets, opts); !loaded.ok()) {
+    return DiagError(loaded.error());
   }
   ObjectAnalysis analysis = AnalyzeObject(*object, opts);
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", AnalysisToJson(analysis).c_str());
   } else {
     printf("object %s: %zu programs, %zu relocs%s\n", analysis.object_name.c_str(),
@@ -1489,35 +1275,21 @@ int CmdAnalyze(int argc, char** argv) {
 // Exit 0 when the fixed object is clean, 2 when unfixable findings remain,
 // 1 on error or when verification fails (a targeted finding survived the
 // rewrite, or the rewrite introduced a new one).
-int CmdFix(int argc, char** argv) {
-  if (int rc = RejectUnknownFlags(argc, argv, "fix", {"against", "out", "json"})) {
-    return rc;
-  }
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("fix requires an OBJECT path");
-  }
-  auto bytes = ReadFile(positional[0]);
+int CmdFix(const Args& args) {
+  const std::string& path = args.pos[0];
+  auto bytes = ReadFile(path);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
   DiagnosticLedger ledger;
   auto object = ParseBpfObject(bytes.TakeValue(), &ledger);
   if (!object.ok()) {
-    return DiagError(positional[0] + ": " + object.error().ToString());
+    return DiagError(path + ": " + object.error().ToString());
   }
   std::vector<Dataset> datasets;
   AnalyzeOptions opts;
-  std::string against = FlagValue(argc, argv, "against", "");
-  if (!against.empty()) {
-    auto loaded = LoadAgainstDatasets(against);
-    if (!loaded.ok()) {
-      return DiagError(loaded.error());
-    }
-    datasets = loaded.TakeValue();
-    for (const Dataset& ds : datasets) {
-      opts.against_all.push_back(&ds);
-    }
+  if (Status loaded = LoadAgainstDatasets(args, datasets, opts); !loaded.ok()) {
+    return DiagError(loaded.error());
   }
 
   ObjectAnalysis before = AnalyzeObject(*object, opts);
@@ -1529,34 +1301,34 @@ int CmdFix(int argc, char** argv) {
     for (const DiagnosticEntry& entry : ledger.entries()) {
       fprintf(stderr, "note: %s\n", entry.ToString().c_str());
     }
-    return DiagError(positional[0] + ": " + applied.error().ToString());
+    return DiagError(path + ": " + applied.error().ToString());
   }
 
   // The fixed object must round-trip through the salvaging decoder and
   // re-analyze with every targeted finding gone and nothing new.
   auto encoded = WriteBpfObject(fixed);
   if (!encoded.ok()) {
-    return DiagError(positional[0] + ": fixed object does not encode: " +
+    return DiagError(path + ": fixed object does not encode: " +
                      encoded.error().ToString());
   }
   DiagnosticLedger reparse_ledger;
   auto reparsed = ParseBpfObject(*encoded, &reparse_ledger);
   if (!reparsed.ok()) {
-    return DiagError(positional[0] + ": fixed object does not re-parse: " +
+    return DiagError(path + ": fixed object does not re-parse: " +
                      reparsed.error().ToString());
   }
   ledger.Merge(reparse_ledger);
   ObjectAnalysis after = AnalyzeObject(*reparsed, opts);
   RemediationVerification verification = VerifyRemediation(before, plan, after);
 
-  std::string out_path = FlagValue(argc, argv, "out", "");
+  std::string out_path = args.Text("out");
   if (!out_path.empty()) {
     Status written = WriteFile(out_path, *encoded);
     if (!written.ok()) {
       return DiagError(written.ToString());
     }
   }
-  if (HasFlag(argc, argv, "json")) {
+  if (args.Has("json")) {
     printf("%s", RemediationToJson(before, plan, &verification).c_str());
   } else {
     printf("object %s: %zu findings, %zu fixable%s\n", before.object_name.c_str(),
@@ -1589,96 +1361,95 @@ int CmdFix(int argc, char** argv) {
   return after.findings.empty() ? 0 : 2;
 }
 
-int CmdDataset(int argc, char** argv) {
-  auto positional = Positional(argc, argv);
-  if (positional.empty()) {
-    return DiagError("dataset requires a subcommand: build | info | migrate");
-  }
-  if (positional[0] == "build") {
-    std::string out = FlagValue(argc, argv, "out", "");
-    if (positional.size() < 2 || out.empty()) {
-      return DiagError("dataset build requires IMAGE... and --out=FILE");
-    }
-    Dataset dataset;
-    for (size_t i = 1; i < positional.size(); ++i) {
-      auto bytes = ReadFile(positional[i]);
-      if (!bytes.ok()) {
-        return DiagError(bytes.error().ToString());
-      }
-      auto surface = DependencySurface::Extract(bytes.TakeValue());
-      if (!surface.ok()) {
-        return DiagError(positional[i] + ": " + surface.error().ToString());
-      }
-      dataset.AddImage(positional[i], *surface);
-      printf("distilled %s\n", positional[i].c_str());
-    }
-    std::vector<uint8_t> bytes = SaveDataset(dataset);
-    Status written = WriteFile(out, bytes);
-    if (!written.ok()) {
-      return DiagError(written.ToString());
-    }
-    printf("wrote %s (%zu images, %zu bytes)\n", out.c_str(), dataset.num_images(),
-           bytes.size());
-    return 0;
-  }
-  // migrate IN OUT: rewrite any .dds (v1 or v2) as the v2 mmap layout.
-  // Byte-deterministic: the same input always produces the same output, and
-  // migrating a v2 file reproduces it exactly.
-  if (positional[0] == "migrate") {
-    if (positional.size() < 3) {
-      return DiagError("dataset migrate requires IN and OUT paths");
-    }
-    auto bytes = ReadFile(positional[1]);
+int CmdDatasetBuild(const Args& args) {
+  std::string out = args.Text("out");
+  Dataset dataset;
+  for (const std::string& path : args.pos) {
+    auto bytes = ReadFile(path);
     if (!bytes.ok()) {
       return DiagError(bytes.error().ToString());
     }
-    auto format = DatasetFormatVersion(*bytes);
-    if (!format.ok()) {
-      return DiagError(positional[1] + ": " + format.error().ToString());
+    auto surface = DependencySurface::Extract(bytes.TakeValue());
+    if (!surface.ok()) {
+      return DiagError(path + ": " + surface.error().ToString());
     }
-    auto dataset = LoadAnyDataset(*bytes);
-    if (!dataset.ok()) {
-      return DiagError(positional[1] + ": " + dataset.error().ToString());
-    }
-    std::vector<uint8_t> v2 = SaveDatasetV2(*dataset);
-    Status written = WriteFile(positional[2], v2);
-    if (!written.ok()) {
-      return DiagError(written.ToString());
-    }
-    printf("migrated %s (v%d, %zu bytes) -> %s (v2, %zu images, %zu bytes)\n",
-           positional[1].c_str(), *format, bytes->size(), positional[2].c_str(),
-           dataset->num_images(), v2.size());
-    return 0;
+    dataset.AddImage(path, *surface);
+    printf("distilled %s\n", path.c_str());
   }
-  if (positional[0] == "info") {
-    if (positional.size() < 2) {
-      return DiagError("dataset info requires a FILE");
-    }
-    auto bytes = ReadFile(positional[1]);
-    if (!bytes.ok()) {
-      return DiagError(bytes.error().ToString());
-    }
-    auto format = DatasetFormatVersion(*bytes);
-    if (!format.ok()) {
-      return DiagError(positional[1] + ": " + format.error().ToString());
-    }
-    auto dataset = LoadAnyDataset(*bytes);
-    if (!dataset.ok()) {
-      return DiagError(dataset.error().ToString());
-    }
-    printf("format v%d: %zu images, %zu interned strings\n", *format, dataset->num_images(),
-           dataset->pool_size());
-    for (const ImageRecord& image : dataset->images()) {
-      printf("  %-28s v%d.%d %s/%s gcc%d: %zu funcs, %zu structs, %zu tracepoints, %zu syscalls\n",
-             image.label.c_str(), image.meta.version_major, image.meta.version_minor,
-             image.meta.arch.c_str(), image.meta.flavor.c_str(), image.meta.gcc_major,
-             image.funcs.size(), image.structs.size(), image.tracepoints.size(),
-             image.syscalls.size());
-    }
-    return 0;
+  std::vector<uint8_t> bytes = SaveDataset(dataset);
+  Status written = WriteFile(out, bytes);
+  if (!written.ok()) {
+    return DiagError(written.ToString());
   }
-  return DiagError("unknown dataset subcommand " + positional[0] +
-                   " (build | info | migrate)");
+  printf("wrote %s (%zu images, %zu bytes)\n", out.c_str(), dataset.num_images(),
+         bytes.size());
+  return 0;
+}
+
+// Reads a .dds of any format version; errors carry the path.
+struct LoadedDataset {
+  std::vector<uint8_t> bytes;
+  int format = 0;
+  Dataset dataset;
+};
+
+Result<LoadedDataset> LoadDatasetFile(const std::string& path) {
+  LoadedDataset loaded;
+  auto bytes = ReadFile(path);
+  if (!bytes.ok()) {
+    return bytes.TakeError();
+  }
+  loaded.bytes = bytes.TakeValue();
+  auto format = DatasetFormatVersion(loaded.bytes);
+  if (!format.ok()) {
+    return format.TakeError().Wrap(path);
+  }
+  loaded.format = *format;
+  auto dataset = LoadAnyDataset(loaded.bytes);
+  if (!dataset.ok()) {
+    return dataset.TakeError().Wrap(path);
+  }
+  loaded.dataset = dataset.TakeValue();
+  return loaded;
+}
+
+// migrate IN OUT: rewrite any .dds (v1 or v2) as the v2 mmap layout.
+// Byte-deterministic: the same input always produces the same output, and
+// migrating a v2 file reproduces it exactly.
+int CmdDatasetMigrate(const Args& args) {
+  const std::string& in = args.pos[0];
+  const std::string& out = args.pos[1];
+  auto loaded = LoadDatasetFile(in);
+  if (!loaded.ok()) {
+    return DiagError(loaded.error().ToString());
+  }
+  std::vector<uint8_t> v2 = SaveDatasetV2(loaded->dataset);
+  Status written = WriteFile(out, v2);
+  if (!written.ok()) {
+    return DiagError(written.ToString());
+  }
+  printf("migrated %s (v%d, %zu bytes) -> %s (v2, %zu images, %zu bytes)\n", in.c_str(),
+         loaded->format, loaded->bytes.size(), out.c_str(), loaded->dataset.num_images(),
+         v2.size());
+  return 0;
+}
+
+int CmdDatasetInfo(const Args& args) {
+  auto loaded = LoadDatasetFile(args.pos[0]);
+  if (!loaded.ok()) {
+    return DiagError(loaded.error().ToString());
+  }
+  const Dataset& dataset = loaded->dataset;
+  printf("format v%d: %zu images, %zu interned strings\n", loaded->format,
+         dataset.num_images(), dataset.pool_size());
+  for (const ImageRecord& image : dataset.images()) {
+    printf("  %-28s v%d.%d %s/%s gcc%d: %zu funcs, %zu structs, %zu tracepoints, %zu syscalls\n",
+           image.label.c_str(), image.meta.version_major, image.meta.version_minor,
+           image.meta.arch.c_str(), image.meta.flavor.c_str(), image.meta.gcc_major,
+           image.funcs.size(), image.structs.size(), image.tracepoints.size(),
+           image.syscalls.size());
+  }
+  return 0;
 }
 
 // Dataset-as-a-service: open every --against dataset once (v2 zero-copy
@@ -1688,39 +1459,18 @@ int CmdDataset(int argc, char** argv) {
 // unix stream socket instead: each connection is one batch (client writes
 // request lines then shuts down its write side; the server responds and
 // closes). --report-out=FILE writes a depsurf.serve_report.v1 summary.
-int CmdServe(int argc, char** argv) {
-  std::string against = FlagValue(argc, argv, "against", "");
-  if (against.empty()) {
-    return DiagError("serve requires --against=DATASET[,DATASET...]");
-  }
-  std::vector<std::string> paths;
-  for (const std::string& path : SplitString(against, ',')) {
-    if (!path.empty()) {
-      paths.push_back(path);
-    }
-  }
+int CmdServe(const Args& args) {
   ServeOptions options;
-  auto jobs = ParseJobsFlag(FlagValue(argc, argv, "jobs", ""));
-  if (!jobs.ok()) {
-    return DiagError("--jobs: " + jobs.error().message());
-  }
-  options.jobs = *jobs;
-  auto capacity = ParseU64Flag(FlagValue(argc, argv, "cache-capacity", ""), 4096);
-  if (!capacity.ok()) {
-    return DiagError("--cache-capacity: " + capacity.error().message());
-  }
-  options.cache_capacity = static_cast<size_t>(*capacity);
-  auto max_conns = ParseU64Flag(FlagValue(argc, argv, "max-connections", ""), 0);
-  if (!max_conns.ok()) {
-    return DiagError("--max-connections: " + max_conns.error().message());
-  }
-  std::string socket_path = FlagValue(argc, argv, "socket", "");
-  const bool oneshot = HasFlag(argc, argv, "oneshot");
+  options.jobs = static_cast<int>(args.U64("jobs", 0));
+  options.cache_capacity = static_cast<size_t>(args.U64("cache-capacity", 4096));
+  const uint64_t max_conns = args.U64("max-connections", 0);
+  std::string socket_path = args.Text("socket");
+  const bool oneshot = args.Has("oneshot");
   if (oneshot == !socket_path.empty()) {
     return DiagError("serve requires exactly one of --oneshot or --socket=PATH");
   }
 
-  auto engine = ServeEngine::Open(paths, options);
+  auto engine = ServeEngine::Open(SplitList(args.Text("against")), options);
   if (!engine.ok()) {
     return DiagError(engine.error());
   }
@@ -1757,12 +1507,12 @@ int CmdServe(int argc, char** argv) {
     }
     fprintf(stderr, "serving %zu dataset(s) on %s%s\n", engine->num_datasets(),
             socket_path.c_str(),
-            *max_conns > 0
+            max_conns > 0
                 ? StrFormat(" (%llu connection(s))",
-                            static_cast<unsigned long long>(*max_conns))
+                            static_cast<unsigned long long>(max_conns))
                       .c_str()
                 : "");
-    for (uint64_t served = 0; *max_conns == 0 || served < *max_conns; ++served) {
+    for (uint64_t served = 0; max_conns == 0 || served < max_conns; ++served) {
       int conn = accept(listener, nullptr, nullptr);
       if (conn < 0) {
         if (errno == EINTR) {
@@ -1802,13 +1552,11 @@ int CmdServe(int argc, char** argv) {
     unlink(socket_path.c_str());
   }
 
-  std::string report_out = FlagValue(argc, argv, "report-out", "");
+  std::string report_out = args.Text("report-out");
   if (!report_out.empty()) {
-    std::string report = engine->ReportJson();
-    std::ofstream out(report_out, std::ios::binary);
-    out.write(report.data(), static_cast<std::streamsize>(report.size()));
-    if (!out) {
-      return DiagError("cannot write " + report_out);
+    Status written = WriteFile(report_out, engine->ReportJson());
+    if (!written.ok()) {
+      return DiagError(written.error());
     }
     fprintf(stderr, "wrote %s (%s)\n", report_out.c_str(), kServeReportSchema);
   }
@@ -1822,21 +1570,18 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
-int CmdProgs(Study& study) {
-  for (const BpfObject& object : study.programs().objects) {
+int CmdProgs(const Args&) {
+  for (const BpfObject& object : BuildProgramCorpus().objects) {
     printf("%s\n", object.name.c_str());
   }
   return 0;
 }
 
-int CmdEmit(int argc, char** argv, Study& study) {
-  auto positional = Positional(argc, argv);
-  std::string out = FlagValue(argc, argv, "out", "");
-  if (positional.empty() || out.empty()) {
-    return DiagError("emit requires PROGRAM and --out=FILE");
-  }
-  for (const BpfObject& object : study.programs().objects) {
-    if (object.name == positional[0]) {
+int CmdEmit(const Args& args) {
+  const std::string& name = args.pos[0];
+  std::string out = args.Text("out");
+  for (const BpfObject& object : BuildProgramCorpus().objects) {
+    if (object.name == name) {
       auto bytes = WriteBpfObject(object);
       if (!bytes.ok()) {
         return DiagError(bytes.error().ToString());
@@ -1849,128 +1594,306 @@ int CmdEmit(int argc, char** argv, Study& study) {
       return 0;
     }
   }
-  return DiagError("no bundled program named " + positional[0] + " (see `depsurf progs`)");
+  return DiagError("no bundled program named " + name + " (see `depsurf progs`)");
 }
 
-constexpr char kUsage[] =
-    "usage: depsurf COMMAND [options]\n"
-    "  gen     --version=5.4 [--arch=A] [--flavor=F] [--scale=S] [--seed=N] --out=IMG\n"
-    "  surface IMG [--func=NAME] [--json]\n"
-    "  stats   IMG [--json]\n"
-    "  diff    OLD NEW [--verbose]\n"
-    "  check   OBJ [IMG...] [--dataset=FILE] (exit 2 when mismatches are found)\n"
-    "  analyze OBJ [--against=DS[,DS...]] [--json] (exit 2 on findings, 1 if unreadable;\n"
-    "          worst consequence across all datasets wins)\n"
-    "  fix     OBJ [--against=DS[,DS...]] [--out=FILE] [--json]\n"
-    "          (synthesize field_exists guards for unguarded relocs, verify by\n"
-    "           re-analysis; exit 0 clean, 2 unfixable findings remain, 1 error)\n"
-    "  dataset build IMG... --out=FILE | dataset info FILE\n"
-    "  dataset migrate IN OUT (rewrite any .dds as the v2 mmap layout;\n"
-    "          byte-deterministic)\n"
-    "  serve   --against=DS[,DS...] (--oneshot | --socket=PATH) [--jobs=N]\n"
-    "          [--cache-capacity=N] [--max-connections=N] [--report-out=FILE]\n"
-    "          (batched NDJSON dependency-set queries; one response line per\n"
-    "           request, byte-identical at any --jobs)\n"
-    "  progs\n"
-    "  emit    PROGRAM --out=OBJ\n"
-    "  doctor  IMG [--sweep=N] [--seed=S] [--mutation-timeout=SECS] [--json]\n"
-    "          (exit 2 when the image needed salvage, 1 when unreadable\n"
-    "           or a sweep mutation timed out)\n"
-    "  fuzz    SEED... [--rounds=N] [--seed=S] [--corpus-dir=DIR]\n"
-    "          [--mutation-timeout=SECS] [--max-ledger=N] [--json]\n"
-    "          (coverage-guided campaign; exit 2 on oracle disagreements,\n"
-    "           1 on hangs)\n"
-    "  metrics lint FILE [--kind=report|agg|bench|perf|trace|diag|analysis\n"
-    "          |remediation|profile|history|trend|profile_diff|fuzz|serve] [--min-spans=N]\n"
-    "          [--require=a,b,c] [--report=FILE] | metrics canon FILE\n"
-    "  report  merge OUT IN... | report flame REPORT.json [--out=FILE]\n"
-    "  perf    compare BASE.json HEAD.json [--max-regress=15%] [--noise-floor=S]\n"
-    "          [--history=FILE] [--json]\n"
-    "          (exit 3 when a stage regressed beyond the threshold; --history\n"
-    "           replaces the fixed floor with per-stage adaptive floors)\n"
-    "  perf    record BENCH.json... --history=FILE [--label=L] [--profile=P.json]\n"
-    "  perf    trend --history=FILE [--window=K] [--min-floor=S] [--json]\n"
-    "  perf    diff BASE_PROFILE.json HEAD_PROFILE.json [--top=N] [--json]\n"
-    "  profile RUN_REPORT.json | profile --live [study flags]\n"
-    "          [--json] [--out=PROFILE.json] [--folded-out=FLAME.folded]\n"
-    "  study   build [--versions=5.4,6.8] [--arch=A] [--flavor=F] [--scale=S] [--seed=N]\n"
-    "          [--out=DATASET] [--report-dir=DIR] [--profile-out=FILE] [--jobs=N]\n"
-    "          [--strict] [--poison=LABEL]\n"
-    "global options: --metrics-out=FILE  --trace-out=FILE  --trace\n";
+// ---- The command table -----------------------------------------------------
 
-int Dispatch(int argc, char** argv, const std::string& command) {
-  if (command == "gen") {
-    return CmdGen(argc, argv);
+struct FlagSpec {
+  const char* name;
+  Kind kind;
+  const char* placeholder = "";  // usage text after '='; unused for kBool
+  bool required = false;
+};
+
+struct Command {
+  const char* path;  // "perf compare": a group name, then its subcommand
+  // Positional names, in order; a trailing "NAME..." takes any number more.
+  std::vector<const char*> pos;
+  size_t min_pos;
+  std::vector<FlagSpec> flags;
+  const char* help;
+  int (*run)(const Args&);
+};
+
+const FlagSpec kGlobalFlags[] = {
+    {"metrics-out", Kind::kText, "FILE"},
+    {"trace-out", Kind::kText, "FILE"},
+    {"trace", Kind::kBool},
+};
+
+const Command kCommands[] = {
+    {"gen", {}, 0,
+     {{"version", Kind::kText, "5.4"}, {"arch", Kind::kText, "A"},
+      {"flavor", Kind::kText, "F"}, {"scale", Kind::kScale, "S"}, {"seed", Kind::kSeed, "N"},
+      {"out", Kind::kText, "IMG", true}},
+     "generate a kernel image", CmdGen},
+    {"surface", {"IMG"}, 1, {{"func", Kind::kText, "NAME"}, {"json", Kind::kBool}},
+     "inspect a dependency surface", CmdSurface},
+    {"stats", {"IMG"}, 1, {{"json", Kind::kBool}},
+     "decode an image, report pipeline metrics", CmdStats},
+    {"diff", {"OLD", "NEW"}, 2, {{"verbose", Kind::kBool}},
+     "diff two images (Table 3/4 style)", CmdDiff},
+    {"check", {"OBJ", "IMG..."}, 1, {{"dataset", Kind::kText, "FILE"}},
+     "report mismatches for an eBPF object against images or a dataset "
+     "(exit 2 when mismatches are found)",
+     CmdCheck},
+    {"analyze", {"OBJ"}, 1, {{"against", Kind::kText, "DS[,DS...]"}, {"json", Kind::kBool}},
+     "static analysis of the insn stream (exit 2 on findings, 1 if unreadable; "
+     "worst consequence across all datasets wins)",
+     CmdAnalyze},
+    {"fix", {"OBJ"}, 1,
+     {{"against", Kind::kText, "DS[,DS...]"}, {"out", Kind::kText, "FILE"},
+      {"json", Kind::kBool}},
+     "synthesize field_exists guards for unguarded relocs, verify by re-analysis "
+     "(exit 0 clean, 2 unfixable findings remain, 1 error)",
+     CmdFix},
+    {"dataset build", {"IMG..."}, 1, {{"out", Kind::kText, "FILE", true}},
+     "distill images into a .dds dataset", CmdDatasetBuild},
+    {"dataset info", {"FILE"}, 1, {}, "summarize a .dds dataset", CmdDatasetInfo},
+    {"dataset migrate", {"IN", "OUT"}, 2, {},
+     "rewrite any .dds as the v2 mmap layout (byte-deterministic)", CmdDatasetMigrate},
+    {"serve", {}, 0,
+     {{"against", Kind::kText, "DS[,DS...]", true}, {"oneshot", Kind::kBool},
+      {"socket", Kind::kText, "PATH"}, {"jobs", Kind::kJobs, "N"},
+      {"cache-capacity", Kind::kU64, "N"}, {"max-connections", Kind::kU64, "N"},
+      {"report-out", Kind::kText, "FILE"}},
+     "batched NDJSON dependency-set queries from stdin (--oneshot) or a unix socket; "
+     "one response line per request, byte-identical at any --jobs",
+     CmdServe},
+    {"progs", {}, 0, {}, "list the bundled 53-program corpus", CmdProgs},
+    {"emit", {"PROGRAM"}, 1, {{"out", Kind::kText, "OBJ", true}},
+     "write a bundled program's .o", CmdEmit},
+    {"doctor", {"IMG"}, 1,
+     {{"sweep", Kind::kU64, "N"}, {"seed", Kind::kSeed, "S"},
+      {"mutation-timeout", Kind::kSeconds, "SECS"}, {"json", Kind::kBool}},
+     "triage a damaged image or sweep seeded faults (exit 2 when the image needed "
+     "salvage, 1 when unreadable or a sweep mutation timed out)",
+     CmdDoctor},
+    {"fuzz", {"SEED..."}, 1,
+     {{"rounds", Kind::kU64, "N"}, {"seed", Kind::kSeed, "S"},
+      {"corpus-dir", Kind::kText, "DIR"}, {"mutation-timeout", Kind::kSeconds, "SECS"},
+      {"max-ledger", Kind::kU64, "N"}, {"json", Kind::kBool}},
+     "coverage-guided fault fuzzing over images or objects (exit 2 on oracle "
+     "disagreements, 1 on hangs)",
+     CmdFuzz},
+    {"metrics lint", {"FILE"}, 1,
+     {{"kind", Kind::kText, "KIND"}, {"min-spans", Kind::kU64, "N"},
+      {"require", Kind::kText, "a,b,c"}, {"report", Kind::kText, "FILE"}},
+     "validate an observability document; KIND is report (the default), agg, bench, "
+     "perf, trace, diag, analysis, remediation, profile, history, trend, profile_diff, "
+     "fuzz or serve",
+     CmdMetricsLint},
+    {"metrics canon", {"FILE"}, 1, {},
+     "canonical JSON with timing fields masked", CmdMetricsCanon},
+    {"report merge", {"OUT", "IN..."}, 2, {},
+     "merge run reports into an aggregate", CmdReportMerge},
+    {"report flame", {"REPORT.json"}, 1, {{"out", Kind::kText, "FILE"}},
+     "folded stacks for flamegraph.pl", CmdReportFlame},
+    {"perf compare", {"BASE.json", "HEAD.json"}, 2,
+     {{"max-regress", Kind::kRatio, "15%"}, {"noise-floor", Kind::kSeconds, "S"},
+      {"history", Kind::kText, "FILE"}, {"json", Kind::kBool}},
+     "perf regression gate over stage timings (exit 3 when a stage regressed beyond "
+     "the threshold; --history replaces the fixed floor with per-stage adaptive "
+     "floors)",
+     CmdPerfCompare},
+    {"perf record", {"BENCH.json..."}, 1,
+     {{"history", Kind::kText, "FILE", true}, {"label", Kind::kText, "L"},
+      {"profile", Kind::kText, "P.json"}},
+     "append a run to the history store", CmdPerfRecord},
+    {"perf trend", {}, 0,
+     {{"history", Kind::kText, "FILE", true}, {"window", Kind::kU64, "K"},
+      {"min-floor", Kind::kSeconds, "S"}, {"json", Kind::kBool}},
+     "robust per-stage baselines and change points", CmdPerfTrend},
+    {"perf diff", {"BASE_PROFILE.json", "HEAD_PROFILE.json"}, 2,
+     {{"top", Kind::kU64, "N"}, {"json", Kind::kBool}},
+     "differential profile attribution", CmdPerfDiff},
+    {"profile", {"REPORT.json"}, 0,
+     {{"live", Kind::kBool}, {"versions", Kind::kText, "5.4,6.8"},
+      {"arch", Kind::kText, "A"}, {"flavor", Kind::kText, "F"},
+      {"scale", Kind::kScale, "S"}, {"seed", Kind::kSeed, "N"}, {"jobs", Kind::kJobs, "N"},
+      {"json", Kind::kBool}, {"out", Kind::kText, "PROFILE.json"},
+      {"folded-out", Kind::kText, "FLAME.folded"}},
+     "self-profile (self time, critical path) of a run report, an aggregate, a "
+     "depsurf.profile.v1 document, or (--live, taking the study build flags) a "
+     "fresh build",
+     CmdProfile},
+    {"study build", {}, 0,
+     {{"versions", Kind::kText, "5.4,6.8"}, {"arch", Kind::kText, "A"},
+      {"flavor", Kind::kText, "F"}, {"scale", Kind::kScale, "S"}, {"seed", Kind::kSeed, "N"},
+      {"out", Kind::kText, "DATASET"}, {"report-dir", Kind::kText, "DIR"},
+      {"profile-out", Kind::kText, "FILE"}, {"jobs", Kind::kJobs, "N"},
+      {"strict", Kind::kBool}, {"poison", Kind::kText, "LABEL"}},
+     "build a dataset corpus (the LTS set by default), with reports; images that "
+     "fail are quarantined unless --strict",
+     CmdStudyBuild},
+};
+
+// ---- The one parser ------------------------------------------------------------
+
+std::string FlagUsage(const FlagSpec& flag) {
+  std::string text = std::string("--") + flag.name;
+  if (flag.kind != Kind::kBool) {
+    text += std::string("=") + flag.placeholder;
   }
-  if (command == "surface") {
-    return CmdSurface(argc, argv);
-  }
-  if (command == "stats") {
-    return CmdStats(argc, argv);
-  }
-  if (command == "doctor") {
-    return CmdDoctor(argc, argv);
-  }
-  if (command == "fuzz") {
-    return CmdFuzz(argc, argv);
-  }
-  if (command == "diff") {
-    return CmdDiff(argc, argv);
-  }
-  if (command == "check") {
-    return CmdCheck(argc, argv);
-  }
-  if (command == "analyze") {
-    return CmdAnalyze(argc, argv);
-  }
-  if (command == "fix") {
-    return CmdFix(argc, argv);
-  }
-  if (command == "dataset") {
-    return CmdDataset(argc, argv);
-  }
-  if (command == "serve") {
-    return CmdServe(argc, argv);
-  }
-  if (command == "metrics") {
-    return CmdMetrics(argc, argv);
-  }
-  if (command == "report") {
-    return CmdReport(argc, argv);
-  }
-  if (command == "perf") {
-    return CmdPerf(argc, argv);
-  }
-  if (command == "profile") {
-    return CmdProfile(argc, argv);
-  }
-  if (command == "study") {
-    return CmdStudy(argc, argv);
-  }
-  if (command == "progs" || command == "emit") {
-    auto options = StudyOptions::Parse(argc, argv, /*default_scale=*/0.05);
-    if (!options.ok()) {
-      return DiagError(options.error());
+  return flag.required ? text : "[" + text + "]";
+}
+
+// `line` then `words`, wrapped at 80 columns with a 10-column indent.
+std::string Wrap(std::string line, const std::vector<std::string>& words) {
+  std::string out;
+  for (const std::string& word : words) {
+    if (line.size() > 10 && line.size() + 1 + word.size() > 80) {
+      out += line + "\n";
+      line = std::string(9, ' ');
     }
-    Study study(options.TakeValue());
-    return command == "progs" ? CmdProgs(study) : CmdEmit(argc, argv, study);
+    line += " " + word;
   }
-  fputs(kUsage, stderr);
-  return 1;
+  line.erase(line.find_last_not_of(' ') + 1);
+  return out + line + "\n";
+}
+
+std::string CommandUsage(const Command& cmd) {
+  std::vector<std::string> words;
+  for (size_t i = 0; i < cmd.pos.size(); ++i) {
+    words.push_back(i < cmd.min_pos ? cmd.pos[i] : "[" + std::string(cmd.pos[i]) + "]");
+  }
+  for (const FlagSpec& flag : cmd.flags) {
+    words.push_back(FlagUsage(flag));
+  }
+  std::string lead = std::string("  ") + cmd.path;
+  lead.resize(std::max<size_t>(lead.size(), 9), ' ');
+  return Wrap(lead, words) + Wrap(std::string(9, ' '), SplitString(cmd.help, ' '));
+}
+
+std::string Usage() {
+  std::string out = "usage: depsurf COMMAND [options]\n";
+  for (const Command& cmd : kCommands) {
+    out += CommandUsage(cmd);
+  }
+  std::vector<std::string> global;
+  for (const FlagSpec& flag : kGlobalFlags) {
+    global.push_back(FlagUsage(flag));
+  }
+  return out + Wrap("global options:", global);
+}
+
+const FlagSpec* FindFlag(const Command& cmd, const std::string& name) {
+  auto named = [&](const FlagSpec& flag) { return name == flag.name; };
+  auto own = std::find_if(cmd.flags.begin(), cmd.flags.end(), named);
+  if (own != cmd.flags.end()) {
+    return &*own;
+  }
+  auto global = std::find_if(std::begin(kGlobalFlags), std::end(kGlobalFlags), named);
+  return global != std::end(kGlobalFlags) ? global : nullptr;
+}
+
+// Checks `words` (argv after the command path) against the command's entry:
+// every flag known, given once and well-formed for its kind, the positional
+// count in range, every required flag present.
+Result<Args> ParseArgs(const Command& cmd, const std::vector<std::string>& words) {
+  Args args;
+  for (const std::string& word : words) {
+    if (!StartsWith(word, "--")) {
+      args.pos.push_back(word);
+      continue;
+    }
+    const size_t eq = word.find('=');
+    const std::string name = word.substr(2, eq == std::string::npos ? eq : eq - 2);
+    const FlagSpec* flag = FindFlag(cmd, name);
+    if (flag == nullptr) {
+      return Invalid("unknown flag --" + name);
+    }
+    if (args.Has(name)) {
+      return Invalid("--" + name + " given more than once");
+    }
+    if (flag->kind == Kind::kBool) {
+      if (eq != std::string::npos) {
+        return Invalid("--" + name + " takes no value");
+      }
+      args.flags[name] = Arg{};
+      continue;
+    }
+    if (eq == std::string::npos || eq + 1 == word.size()) {
+      return Invalid(StrFormat("--%s needs a value: --%s=%s", name.c_str(), name.c_str(),
+                               flag->placeholder));
+    }
+    auto value = ParseValue(flag->kind, word.substr(eq + 1));
+    if (!value.ok()) {
+      return value.TakeError().Wrap("--" + name);
+    }
+    args.flags[name] = value.TakeValue();
+  }
+  const bool variadic = !cmd.pos.empty() && EndsWith(cmd.pos.back(), "...");
+  if (args.pos.size() < cmd.min_pos) {
+    return Invalid(StrFormat("needs %s", cmd.pos[args.pos.size()]));
+  }
+  if (!variadic && args.pos.size() > cmd.pos.size()) {
+    return Invalid(StrFormat("unexpected argument \"%s\"", args.pos[cmd.pos.size()].c_str()));
+  }
+  for (const FlagSpec& flag : cmd.flags) {
+    if (flag.required && !args.Has(flag.name)) {
+      return Invalid(StrFormat("needs --%s=%s", flag.name, flag.placeholder));
+    }
+  }
+  return args;
+}
+
+const Command* FindCommand(const std::string& path) {
+  for (const Command& cmd : kCommands) {
+    if (path == cmd.path) {
+      return &cmd;
+    }
+  }
+  return nullptr;
+}
+
+// The subcommands of a group such as `perf`, as "compare|record|...";
+// empty when `group` is not one.
+std::string Subcommands(const std::string& group) {
+  std::string out;
+  for (const Command& cmd : kCommands) {
+    if (StartsWith(cmd.path, group + " ")) {
+      out += (out.empty() ? "" : "|") + std::string(cmd.path + group.size() + 1);
+    }
+  }
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    fputs(kUsage, stderr);
+  const std::string name = argc > 1 ? argv[1] : "";
+  std::vector<std::string> words(argv + std::min(argc, 2), argv + argc);
+  const Command* cmd = FindCommand(name);
+  if (std::string subs = Subcommands(name); cmd == nullptr && !subs.empty()) {
+    // The subcommand is the group's first positional.
+    auto sub = std::find_if(words.begin(), words.end(),
+                            [](const std::string& word) { return !StartsWith(word, "--"); });
+    if (sub == words.end()) {
+      return DiagError(name + " requires a subcommand: " + subs);
+    }
+    cmd = FindCommand(name + " " + *sub);
+    if (cmd == nullptr) {
+      return DiagError("unknown " + name + " subcommand " + *sub + " (" + subs + ")");
+    }
+    words.erase(sub);
+  }
+  if (cmd == nullptr) {
+    fputs(Usage().c_str(), stderr);
     return 1;
   }
-  if (HasFlag(argc, argv, "trace")) {
+  auto args = ParseArgs(*cmd, words);
+  if (!args.ok()) {
+    DiagError(std::string(cmd->path) + ": " + args.error().message());
+    fprintf(stderr, "usage:\n%s", CommandUsage(*cmd).c_str());
+    return 1;
+  }
+  if (args->Has("trace")) {
     obs::SpanCollector::Global().SetLiveTrace(true);
   }
-  int code = Dispatch(argc, argv, argv[1]);
-  std::string trace_out = FlagValue(argc, argv, "trace-out", "");
+  int code = cmd->run(*args);
+  std::string trace_out = args->Text("trace-out");
   if (!trace_out.empty()) {
     Status written = obs::WriteGlobalTrace(trace_out);
     if (!written.ok()) {
@@ -1980,7 +1903,7 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::string metrics_out = FlagValue(argc, argv, "metrics-out", "");
+  std::string metrics_out = args->Text("metrics-out");
   if (!metrics_out.empty()) {
     // Preserve the command's exit code (check uses 2 for "mismatches
     // found"); a report that cannot be written is its own failure.

@@ -4,9 +4,11 @@
 # Drives `depsurf doctor` over a clean image, a hand-poisoned one, and a
 # seeded fault-injection sweep, runs a short coverage-guided fuzz campaign
 # (deterministic across reruns, lintable fuzz_campaign.v1 document), then
-# walks the quarantine path of `study build` end to end: --keep-going must
-# finish with the poisoned image quarantined and listed in the aggregate
-# report; --strict must fail.
+# walks the quarantine path of `study build` end to end: the default policy
+# (no --strict) must finish with the poisoned image quarantined and listed in
+# the aggregate report; --strict must fail. Last, bad argv: every malformed
+# invocation the command table's parser rejects must exit 1 naming its cause,
+# and a failed write must never report success.
 set -eu
 
 DEPSURF=${1:?usage: robustness_smoke.sh /path/to/depsurf}
@@ -77,12 +79,12 @@ done
 "$DEPSURF" metrics lint corpus1/campaign.json --kind=fuzz || fail "corpus campaign.json invalid"
 ls corpus1/fuzz_0000_seed.bin > /dev/null || fail "corpus is missing the seed entry"
 
-# ---- study build --keep-going with one poisoned image: completes, the
+# ---- study build (default policy) with one poisoned image: completes, the
 # poisoned image is quarantined, and the aggregate lists its fatal entry.
 mkdir -p reps
 "$DEPSURF" study build --versions=5.4,5.8 --scale=0.02 \
   --poison=v5.8-x86-generic-gcc10 --report-dir=reps --out=ds > study.txt \
-  || fail "keep-going study build exited $?"
+  || fail "default-policy study build exited $?"
 grep -q "quarantined v5.8-x86-generic-gcc10" study.txt || fail "no quarantine line"
 grep -q "1 images" study.txt || fail "dataset should hold only the survivor"
 "$DEPSURF" metrics lint reps/report_agg.json --kind=agg || fail "aggregate invalid"
@@ -99,5 +101,97 @@ code=$?
 set -e
 [ "$code" -ne 0 ] || fail "strict build succeeded over a poisoned corpus"
 grep -q "v5.8-x86-generic-gcc10" strict.err || fail "strict error does not name the image"
+
+# ---- strict flag parsing: every malformed numeric flag must exit 1 with an
+# error that names the flag, never silently parse to 0 (the atoi family) or
+# to a truncated prefix (the strtoull family).
+check_flag_error() {
+  flag_name=$1; shift
+  set +e
+  "$DEPSURF" "$@" > flagerr.txt 2>&1
+  flag_code=$?
+  set -e
+  [ "$flag_code" -eq 1 ] \
+    || fail "'depsurf $*' exited $flag_code, want 1: $(cat flagerr.txt)"
+  grep -q -- "$flag_name" flagerr.txt \
+    || fail "error for 'depsurf $*' does not name $flag_name: $(cat flagerr.txt)"
+}
+check_flag_error --jobs study build --scale=0.02 --out=dsx --jobs=abc
+check_flag_error --jobs profile reps1/report_agg.json --live --jobs=abc
+check_flag_error --jobs serve --against=ds_v2.dds --oneshot --jobs=999
+check_flag_error --min-spans metrics lint gen.json --min-spans=abc
+check_flag_error --window perf trend --history=none.ndjson --window=0
+check_flag_error --window perf trend --history=none.ndjson --window=abc
+check_flag_error --top perf diff a.json b.json --top=0
+check_flag_error --top perf diff a.json b.json --top=abc
+check_flag_error --scale gen --version=5.4 --out=imgx --scale=abc
+check_flag_error --seed study build --scale=0.02 --out=dsx --seed=-1
+check_flag_error --oneshot serve --against=ds_v2.dds
+
+
+# ---- every command and subcommand in the table rejects an unknown flag.
+# The list comes from the generated usage text, so a new command is covered
+# as soon as it is declared.
+set +e
+"$DEPSURF" > /dev/null 2> usage.txt
+set -e
+sed -n 's/^  \([a-z]\{1,\}\( [a-z]\{1,\}\)\{0,1\}\)\( .*\)\{0,1\}$/\1/p' usage.txt > commands.txt
+[ "$(wc -l < commands.txt)" -eq 25 ] \
+  || fail "usage lists $(wc -l < commands.txt) commands, want 25: $(cat commands.txt)"
+while read -r command; do
+  # shellcheck disable=SC2086  # "perf compare" is two words on purpose
+  check_flag_error --no-such-flag $command --no-such-flag
+done < commands.txt
+
+# ---- flag shape: a value flag needs =VALUE (never the next word) and a
+# nonempty one, a boolean takes none, and no flag may be given twice.
+check_flag_error --against analyze prog.o --against ds --json
+check_flag_error --json analyze prog.o --json=1
+check_flag_error --jobs study build --scale=0.02 --jobs=
+check_flag_error --jobs study build --scale=0.02 --jobs=1 --jobs=8
+check_flag_error --trace stats img --trace=1
+
+# ---- positional counts are checked against the table.
+check_flag_error '"C"' dataset migrate A B C
+check_flag_error '"B.o"' analyze A.o B.o
+check_flag_error 'needs IMG' surface
+
+# ---- a failed write (a full disk) exits 1 and never prints "wrote".
+check_write_error() {
+  set +e
+  "$DEPSURF" "$@" > write.out 2> write.err
+  write_code=$?
+  set -e
+  [ "$write_code" -eq 1 ] || fail "'depsurf $*' exited $write_code, want 1"
+  if grep -q "^wrote" write.out; then
+    fail "'depsurf $*' claims a write that failed: $(cat write.out)"
+  fi
+  grep -q "/dev/full" write.err || fail "'depsurf $*' error does not name the file"
+}
+check_write_error study build --versions=5.4 --scale=0.02 --out=/dev/full
+# llcstat's object is small enough to sit in the stream buffer, so its
+# write fails only when the close flushes it.
+check_write_error emit llcstat --out=/dev/full
+
+# ---- --report-dir: a missing nested directory is created; one that cannot
+# be created fails before any image is built, naming the flag.
+"$DEPSURF" study build --versions=5.4 --scale=0.02 --report-dir=new/nested/reps \
+  > nested.txt || fail "study build into a nested --report-dir exited $?"
+[ -s new/nested/reps/report_agg.json ] || fail "nested --report-dir holds no aggregate"
+check_flag_error --report-dir study build --versions=5.4 --scale=0.02 --report-dir=img/reps
+if grep -q '^\[' flagerr.txt; then
+  fail "bad --report-dir failed only after the build started"
+fi
+
+# ---- profile reads the depsurf.profile.v1 files study build writes: --json
+# reproduces the file byte for byte, and --folded-out (a profile has no
+# stacks) is refused naming the flag.
+"$DEPSURF" study build --versions=5.4 --scale=0.02 --profile-out=p.json > /dev/null \
+  || fail "study build --profile-out exited $?"
+"$DEPSURF" profile p.json --json > p2.json || fail "profile of a profile exited $?"
+cmp -s p.json p2.json || fail "profile --json does not reproduce its profile input"
+"$DEPSURF" profile p.json | grep -q "critical path" || fail "profile text of a profile"
+check_flag_error --folded-out profile p.json --folded-out=p.folded
+check_write_error profile p.json --out=/dev/full
 
 echo "robustness_smoke: PASS"
