@@ -41,9 +41,26 @@ const char* BtfKindName(BtfKind kind) {
   return "UNKNOWN";
 }
 
+namespace {
+
+constexpr BtfTypeId kEmptySlot = 0;
+// Marks the slot of a ring emptied by CompleteStruct. Probes pass over it;
+// Reindex drops it.
+constexpr BtfTypeId kTombstone = UINT32_MAX;
+
+uint64_t NameKey(BtfKind kind, std::string_view name) {
+  return HashString(name) ^ (static_cast<uint64_t>(kind) * 0x9e3779b97f4a7c15ull);
+}
+
+uint64_t FwdDedupKey(std::string_view name) { return HashCombine({7, HashString(name)}); }
+
+}  // namespace
+
 BtfTypeId TypeGraph::Add(BtfType type) {
   types_.push_back(std::move(type));
-  return static_cast<BtfTypeId>(types_.size());
+  BtfTypeId id = static_cast<BtfTypeId>(types_.size());
+  Index(id);
+  return id;
 }
 
 const BtfType* TypeGraph::Get(BtfTypeId id) const {
@@ -53,11 +70,118 @@ const BtfType* TypeGraph::Get(BtfTypeId id) const {
   return &types_[id - 1];
 }
 
-BtfType* TypeGraph::GetMutable(BtfTypeId id) {
-  if (id == 0 || id > types_.size()) {
-    return nullptr;
+Status TypeGraph::CompleteStruct(BtfTypeId id, uint32_t byte_size,
+                                 std::vector<BtfMember> members) {
+  if (id == 0 || id > types_.size() ||
+      (types_[id - 1].kind != BtfKind::kStruct && types_[id - 1].kind != BtfKind::kFwd)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  StrFormat("type %u is not a FWD or STRUCT", id));
   }
-  return &types_[id - 1];
+  BtfType& t = types_[id - 1];
+  if (t.kind == BtfKind::kFwd) {
+    // Re-key the id from (FWD, name) to (STRUCT, name); Fwd(name) no longer
+    // answers with it.
+    Unlink(id);
+    if (auto it = dedup_.find(FwdDedupKey(t.name)); it != dedup_.end() && it->second == id) {
+      dedup_.erase(it);
+    }
+    t.kind = BtfKind::kStruct;
+    Index(id);
+  }
+  t.size = byte_size;
+  t.members = std::move(members);
+  return Status::Ok();
+}
+
+size_t TypeGraph::Probe(BtfKind kind, std::string_view name) const {
+  size_t mask = slots_.size() - 1;
+  for (size_t i = NameKey(kind, name) & mask;; i = (i + 1) & mask) {
+    BtfTypeId id = slots_[i];
+    if (id == kEmptySlot) {
+      return i;
+    }
+    if (id != kTombstone && types_[id - 1].kind == kind && types_[id - 1].name == name) {
+      return i;
+    }
+  }
+}
+
+void TypeGraph::Index(BtfTypeId id) {
+  if (types_[id - 1].name.empty()) {
+    return;
+  }
+  if (4 * (used_slots_ + 1) > 3 * slots_.size()) {
+    Reindex(slots_.empty() ? 64 : 2 * slots_.size());  // links `id` too
+  } else {
+    Link(id);
+  }
+}
+
+BtfTypeId TypeGraph::Next(BtfTypeId id) const {
+  auto it = next_.find(id);
+  return it == next_.end() ? id : it->second;
+}
+
+void TypeGraph::SetNext(BtfTypeId id, BtfTypeId next) {
+  if (next == id) {
+    next_.erase(id);
+  } else {
+    next_[id] = next;
+  }
+}
+
+void TypeGraph::Link(BtfTypeId id) {
+  const BtfType& t = types_[id - 1];
+  size_t slot = Probe(t.kind, t.name);
+  BtfTypeId highest = slots_[slot];
+  if (highest == kEmptySlot) {
+    slots_[slot] = id;
+    ++used_slots_;
+    return;
+  }
+  // Add appends the new highest id; only CompleteStruct walks the ring.
+  BtfTypeId prev = highest;
+  if (id < highest) {
+    while (Next(prev) < id) {
+      prev = Next(prev);
+    }
+  } else {
+    slots_[slot] = id;
+  }
+  SetNext(id, Next(prev));
+  SetNext(prev, id);
+}
+
+void TypeGraph::Unlink(BtfTypeId id) {
+  const BtfType& t = types_[id - 1];
+  if (t.name.empty()) {
+    return;
+  }
+  size_t slot = Probe(t.kind, t.name);
+  if (Next(id) == id) {
+    slots_[slot] = kTombstone;
+    return;
+  }
+  BtfTypeId prev = slots_[slot];
+  while (Next(prev) != id) {
+    prev = Next(prev);
+  }
+  SetNext(prev, Next(id));
+  SetNext(id, id);
+  if (slots_[slot] == id) {
+    slots_[slot] = prev;
+  }
+}
+
+void TypeGraph::Reindex(size_t num_slots) {
+  slots_.assign(num_slots, kEmptySlot);
+  next_.clear();
+  used_slots_ = 0;
+  for (BtfTypeId id = 1; id <= types_.size(); ++id) {
+    if (!types_[id - 1].name.empty()) {
+      Link(id);
+    }
+  }
 }
 
 BtfTypeId TypeGraph::Dedup(uint64_t key, BtfType type) {
@@ -128,7 +252,7 @@ BtfTypeId TypeGraph::Fwd(std::string_view name) {
   BtfType t;
   t.kind = BtfKind::kFwd;
   t.name = name;
-  return Dedup(HashCombine({7, HashString(name)}), std::move(t));
+  return Dedup(FwdDedupKey(name), std::move(t));
 }
 
 BtfTypeId TypeGraph::Struct(std::string_view name, uint32_t byte_size,
@@ -177,12 +301,14 @@ BtfTypeId TypeGraph::Func(std::string_view name, BtfTypeId proto) {
 }
 
 std::optional<BtfTypeId> TypeGraph::FindByKindAndName(BtfKind kind, std::string_view name) const {
-  for (uint32_t i = 0; i < types_.size(); ++i) {
-    if (types_[i].kind == kind && types_[i].name == name) {
-      return i + 1;
-    }
+  if (name.empty() || slots_.empty()) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  BtfTypeId highest = slots_[Probe(kind, name)];
+  if (highest == kEmptySlot) {
+    return std::nullopt;
+  }
+  return Next(highest);  // the ring wraps to its lowest id
 }
 
 std::optional<BtfTypeId> TypeGraph::FindStruct(std::string_view name) const {

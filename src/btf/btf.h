@@ -104,7 +104,11 @@ class TypeGraph {
 
   // nullptr for id 0 (void) and for out-of-range ids.
   const BtfType* Get(BtfTypeId id) const;
-  BtfType* GetMutable(BtfTypeId id);
+
+  // Gives the FWD or STRUCT `id` this layout in place, turning a FWD into a
+  // STRUCT, so references to `id` see the complete type. kInvalidArgument
+  // for any other id.
+  Status CompleteStruct(BtfTypeId id, uint32_t byte_size, std::vector<BtfMember> members);
 
   // --- Builder conveniences (deduplicating for scalar/pointer nodes) ---
   BtfTypeId Int(std::string_view name, uint32_t byte_size);
@@ -121,7 +125,8 @@ class TypeGraph {
   BtfTypeId FuncProto(BtfTypeId return_type, std::vector<BtfParam> params);
   BtfTypeId Func(std::string_view name, BtfTypeId proto);
 
-  // --- Lookups (first match by name) ---
+  // --- Lookups: the lowest id of that kind and name, O(1). Anonymous types
+  // are never found, so an empty name answers nullopt. ---
   std::optional<BtfTypeId> FindByKindAndName(BtfKind kind, std::string_view name) const;
   std::optional<BtfTypeId> FindStruct(std::string_view name) const;
   std::optional<BtfTypeId> FindFunc(std::string_view name) const;
@@ -136,8 +141,27 @@ class TypeGraph {
  private:
   BtfTypeId Dedup(uint64_t key, BtfType type);
 
+  // Name index over named types. The ids of one (kind, name) key form a
+  // ring in ascending order: Next(id) is the next higher id of the key, and
+  // the highest wraps to the lowest. slots_ is an open-addressed table
+  // (linear probing, at most 3/4 full) holding each ring's highest id, so a
+  // lookup is one probe sequence plus one step, and Add appends in O(1).
+  // next_ stores only the links of keys shared by several ids (rare in
+  // kernel BTF); any other id is a ring of one. Only ids are stored; each
+  // probe confirms the key against types_.
+  size_t Probe(BtfKind kind, std::string_view name) const;
+  BtfTypeId Next(BtfTypeId id) const;
+  void SetNext(BtfTypeId id, BtfTypeId next);
+  void Index(BtfTypeId id);   // Link a named id, growing the table if needed
+  void Link(BtfTypeId id);    // needs a named id and a free slot
+  void Unlink(BtfTypeId id);  // no-op for an unnamed id
+  void Reindex(size_t num_slots);
+
   std::vector<BtfType> types_;
   std::unordered_map<uint64_t, BtfTypeId> dedup_;
+  std::vector<BtfTypeId> slots_;
+  std::unordered_map<BtfTypeId, BtfTypeId> next_;
+  size_t used_slots_ = 0;  // rings plus tombstones
 };
 
 }  // namespace depsurf

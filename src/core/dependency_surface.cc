@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "src/btf/btf_codec.h"
 #include "src/dwarf/dwarf_codec.h"
@@ -35,14 +38,14 @@ constexpr const char* kSyscallPrefixes[] = {"__x64_sys_", "__arm64_sys_", "__ris
 constexpr const char* kTransformSuffixes[] = {".isra.", ".constprop.", ".part.", ".cold"};
 
 // Splits "name.isra.0" into base and suffix; base == input when unsuffixed.
-std::pair<std::string, std::string> SplitTransformSuffix(const std::string& symbol) {
+std::pair<std::string_view, std::string_view> SplitTransformSuffix(std::string_view symbol) {
   for (const char* marker : kTransformSuffixes) {
     size_t pos = symbol.find(marker);
-    if (pos != std::string::npos) {
+    if (pos != std::string_view::npos) {
       return {symbol.substr(0, pos), symbol.substr(pos)};
     }
   }
-  return {symbol, ""};
+  return {symbol, {}};
 }
 
 // Identity facts that cannot fail once the ELF container parsed.
@@ -211,7 +214,6 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   // ---- BTF: declarations of functions and structs. A corrupt .BTF costs
   // the type graph (declarations, struct layouts) but not the symbol-table,
   // tracepoint, or syscall views.
-  std::map<std::string, BtfTypeId> btf_funcs;
   {
     obs::ScopedSpan btf_span("surface.btf");
     auto decode_btf = [&]() -> Status {
@@ -231,18 +233,19 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       }
       surface.btf_ = TypeGraph();  // queries see an empty, valid graph
     }
+    uint64_t func_names = 0;
     for (BtfTypeId id = 1; id <= surface.btf_.num_types(); ++id) {
       const BtfType* t = surface.btf_.Get(id);
       if (t->kind == BtfKind::kStruct && !t->name.empty()) {
         if (!StartsWith(t->name, kTraceStructPrefix)) {
           surface.structs_.emplace(t->name, id);
         }
-      } else if (t->kind == BtfKind::kFunc) {
-        btf_funcs.emplace(t->name, id);  // first wins (collisions share names)
+      } else if (t->kind == BtfKind::kFunc && surface.btf_.FindFunc(t->name) == id) {
+        ++func_names;  // the first FUNC of its name, as the function table resolves it
       }
     }
     btf_span.AddAttr("structs", static_cast<uint64_t>(surface.structs_.size()));
-    btf_span.AddAttr("funcs", static_cast<uint64_t>(btf_funcs.size()));
+    btf_span.AddAttr("funcs", func_names);
   }
 
   // ---- DWARF: function instances and inline structure. Absent debug
@@ -295,9 +298,9 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
           if (sym.type != SymType::kFunc) {
             continue;
           }
-          std::string base = SplitTransformSuffix(sym.name).first;
+          std::string_view base = SplitTransformSuffix(sym.name).first;
           if (!base.empty() && !StartsWith(base, kTraceFuncPrefix)) {
-            instances.try_emplace(std::move(base));
+            instances.try_emplace(std::string(base));
           }
         }
       }
@@ -306,9 +309,10 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     dwarf_span.AddAttr("health", DegradationStateName(health.dwarf));
   }
 
-  // Symbol indexes: by base name (strips transformation suffixes) and by
-  // address (for tracepoint/syscall reverse lookup).
-  std::map<std::string, std::vector<ElfSymbol>> symbols_by_base;
+  // Symbol indexes into the reader's table: by base name (strips
+  // transformation suffixes) and by address (for tracepoint/syscall reverse
+  // lookup; the first symbol-table entry at an address wins).
+  std::unordered_map<std::string_view, std::vector<const ElfSymbol*>> symbols_by_base;
   std::map<uint64_t, const ElfSymbol*> func_sym_at;
   {
   obs::ScopedSpan classify_span("surface.classify_functions");
@@ -317,8 +321,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     if (sym.type != SymType::kFunc) {
       continue;
     }
-    auto [base, suffix] = SplitTransformSuffix(sym.name);
-    symbols_by_base[base].push_back(sym);
+    symbols_by_base[SplitTransformSuffix(sym.name).first].push_back(&sym);
     func_sym_at.emplace(sym.value, &sym);
   }
 
@@ -326,24 +329,25 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
     FunctionEntry entry;
     entry.name = name;
     entry.instances = std::move(insts);
-    auto bit = btf_funcs.find(name);
-    if (bit != btf_funcs.end()) {
-      entry.btf_id = bit->second;
+    if (auto id = surface.btf_.FindFunc(name)) {
+      entry.btf_id = *id;
     }
-    auto sit = symbols_by_base.find(name);
-    if (sit != symbols_by_base.end()) {
-      entry.symbols = sit->second;
+    if (auto sit = symbols_by_base.find(name); sit != symbols_by_base.end()) {
+      entry.symbols.reserve(sit->second.size());
+      for (const ElfSymbol* sym : sit->second) {
+        entry.symbols.push_back(*sym);
+      }
     }
 
     FunctionStatus& status = entry.status;
     bool any_code = false;
     bool any_inline_site = false;
-    std::set<std::string> decl_locations;
+    std::set<std::pair<std::string_view, uint32_t>> decl_locations;
     for (const FunctionInstance& inst : entry.instances) {
       any_code |= inst.HasCode();
       any_inline_site |= !inst.caller_inline.empty();
       status.external |= inst.external;
-      decl_locations.insert(StrFormat("%s:%u", inst.decl_file.c_str(), inst.decl_line));
+      decl_locations.emplace(inst.decl_file, inst.decl_line);
     }
     for (const ElfSymbol& sym : entry.symbols) {
       if (sym.name == name) {

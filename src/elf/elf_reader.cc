@@ -299,14 +299,4 @@ std::optional<ElfSymbol> ElfReader::FindSymbol(std::string_view name) const {
   return std::nullopt;
 }
 
-std::vector<ElfSymbol> ElfReader::SymbolsAtAddress(uint64_t addr) const {
-  std::vector<ElfSymbol> out;
-  for (const ElfSymbol& s : symbols_) {
-    if (s.value == addr) {
-      out.push_back(s);
-    }
-  }
-  return out;
-}
-
 }  // namespace depsurf

@@ -55,9 +55,6 @@ class ElfReader {
   // First symbol with the given name, if any.
   std::optional<ElfSymbol> FindSymbol(std::string_view name) const;
 
-  // All symbols whose st_value equals `addr`.
-  std::vector<ElfSymbol> SymbolsAtAddress(uint64_t addr) const;
-
  private:
   ElfReader() = default;
 

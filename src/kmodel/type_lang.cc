@@ -100,13 +100,9 @@ Result<BtfTypeId> TypeLowering::DefineStruct(const StructSpec& spec) {
   uint32_t byte_size = (bits + 7) / 8;
   if (preexisting) {
     // Replace the definition in place so existing references stay valid.
-    BtfType* node = graph_.GetMutable(it->second);
-    if (node == nullptr || (node->kind != BtfKind::kStruct && node->kind != BtfKind::kFwd)) {
+    if (Status st = graph_.CompleteStruct(it->second, byte_size, std::move(members)); !st.ok()) {
       return Error(ErrorCode::kInternal, "struct registry out of sync");
     }
-    node->kind = BtfKind::kStruct;
-    node->size = byte_size;
-    node->members = std::move(members);
     return it->second;
   }
   BtfTypeId id = graph_.Struct(spec.name, byte_size, std::move(members));

@@ -4,6 +4,7 @@
 #include "src/btf/btf_codec.h"
 #include "src/btf/btf_compare.h"
 #include "src/btf/btf_print.h"
+#include "src/util/prng.h"
 
 namespace depsurf {
 namespace {
@@ -49,6 +50,157 @@ TEST(TypeGraphTest, FindByName) {
   EXPECT_TRUE(g.FindStruct("file").has_value());
   EXPECT_FALSE(g.FindStruct("task_struct").has_value());
   EXPECT_FALSE(g.FindFunc("file").has_value());
+}
+
+TEST(TypeGraphTest, AnonymousTypesAreNotFoundByName) {
+  TypeGraph g;
+  BtfTypeId i = g.Int("int", 4);
+  g.Struct("", 4, {{"x", i, 0}});
+  g.Func("", g.FuncProto(i, {}));
+  EXPECT_FALSE(g.FindStruct("").has_value());
+  EXPECT_FALSE(g.FindFunc("").has_value());
+  EXPECT_FALSE(g.FindByKindAndName(BtfKind::kStruct, "").has_value());
+  BtfTypeId named = g.Struct("file", 4, {{"x", i, 0}});
+  EXPECT_EQ(g.FindStruct("file"), named);
+}
+
+TEST(TypeGraphTest, CompleteStructUpgradesFwdInPlace) {
+  TypeGraph g;
+  BtfTypeId fwd = g.Fwd("sock");
+  BtfTypeId ptr = g.Ptr(fwd);
+  BtfTypeId i = g.Int("int", 4);
+  EXPECT_EQ(g.FindByKindAndName(BtfKind::kFwd, "sock"), fwd);
+  EXPECT_FALSE(g.FindStruct("sock").has_value());
+  ASSERT_TRUE(g.CompleteStruct(fwd, 4, {{"sk_flags", i, 0}}).ok());
+  EXPECT_EQ(g.Get(ptr)->ref_type_id, fwd);
+  EXPECT_EQ(g.Get(fwd)->kind, BtfKind::kStruct);
+  EXPECT_EQ(g.Get(fwd)->size, 4u);
+  EXPECT_EQ(g.FindStruct("sock"), fwd);
+  EXPECT_FALSE(g.FindByKindAndName(BtfKind::kFwd, "sock").has_value());
+  EXPECT_NE(g.Fwd("sock"), fwd);  // a new declaration, not the completed struct
+  EXPECT_FALSE(g.CompleteStruct(i, 4, {}).ok());
+  EXPECT_FALSE(g.CompleteStruct(0, 4, {}).ok());
+  EXPECT_FALSE(g.CompleteStruct(g.num_types() + 1, 4, {}).ok());
+}
+
+// The index's contract, stated as the linear first-match scan it replaces:
+// the lowest id of that kind and name, and nothing for an empty name.
+std::optional<BtfTypeId> ScanByKindAndName(const TypeGraph& g, BtfKind kind,
+                                           std::string_view name) {
+  if (name.empty()) {
+    return std::nullopt;
+  }
+  for (BtfTypeId id = 1; id <= g.num_types(); ++id) {
+    if (g.Get(id)->kind == kind && g.Get(id)->name == name) {
+      return id;
+    }
+  }
+  return std::nullopt;
+}
+
+constexpr BtfKind kAllKinds[] = {
+    BtfKind::kVoid,     BtfKind::kInt,      BtfKind::kPtr,       BtfKind::kArray,
+    BtfKind::kStruct,   BtfKind::kUnion,    BtfKind::kEnum,      BtfKind::kFwd,
+    BtfKind::kTypedef,  BtfKind::kVolatile, BtfKind::kConst,     BtfKind::kRestrict,
+    BtfKind::kFunc,     BtfKind::kFuncProto, BtfKind::kFloat};
+constexpr const char* kNames[] = {"", "a", "b", "file", "task_struct", "vfs_fsync"};
+
+void ExpectIndexMatchesScan(const TypeGraph& g, const std::string& context) {
+  for (BtfKind kind : kAllKinds) {
+    for (const char* name : kNames) {
+      ASSERT_EQ(g.FindByKindAndName(kind, name), ScanByKindAndName(g, kind, name))
+          << context << " kind " << BtfKindName(kind) << " name '" << name << "'";
+    }
+  }
+  for (const char* name : kNames) {
+    ASSERT_EQ(g.FindStruct(name), ScanByKindAndName(g, BtfKind::kStruct, name)) << context;
+    ASSERT_EQ(g.FindFunc(name), ScanByKindAndName(g, BtfKind::kFunc, name)) << context;
+  }
+}
+
+TEST(TypeGraphTest, NameIndexMatchesLinearScan) {
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Prng prng(seed);
+    TypeGraph g;
+    // Enough steps to grow the table several times; a small name pool makes
+    // duplicates within and across kinds common.
+    for (int step = 0; step < 400; ++step) {
+      std::string name = kNames[prng.NextBelow(std::size(kNames))];
+      BtfKind kind = kAllKinds[prng.NextBelow(std::size(kAllKinds))];
+      switch (prng.NextBelow(5)) {
+        case 0:
+        case 1: {
+          BtfType t;
+          t.kind = kind;
+          t.name = name;
+          g.Add(std::move(t));
+          break;
+        }
+        case 2:
+          g.Fwd(name);
+          break;
+        case 3:
+          if (prng.NextBool(0.5)) {
+            g.Struct(name, 8, {});
+          } else {
+            g.Func(name, kBtfVoid);
+          }
+          break;
+        case 4: {
+          // Fwd->Struct upgrade (or a struct redefinition) of a random id;
+          // every other kind is refused and left alone.
+          if (g.num_types() == 0) {
+            break;
+          }
+          BtfTypeId id = static_cast<BtfTypeId>(prng.NextInRange(1, g.num_types()));
+          BtfKind before = g.Get(id)->kind;
+          bool completable = before == BtfKind::kFwd || before == BtfKind::kStruct;
+          ASSERT_EQ(g.CompleteStruct(id, 16, {}).ok(), completable);
+          EXPECT_EQ(g.Get(id)->kind, completable ? BtfKind::kStruct : before);
+          break;
+        }
+      }
+      ExpectIndexMatchesScan(g, "seed " + std::to_string(seed) + " step " +
+                                    std::to_string(step));
+    }
+    TypeGraph copy = g;
+    ExpectIndexMatchesScan(copy, "copy of seed " + std::to_string(seed));
+  }
+}
+
+TEST(TypeGraphTest, NameIndexMatchesLinearScanUnderLoad) {
+  // Upgrades in a table grown several times, with long probe runs. Half the
+  // names get their STRUCT before their FWD, half after, so the completed
+  // FWD is sometimes the lowest STRUCT of its name and sometimes not.
+  TypeGraph g;
+  std::vector<std::string> names;
+  std::vector<BtfTypeId> fwds(3000);
+  for (int i = 0; i < 3000; ++i) {
+    names.push_back("s" + std::to_string(i));
+    if (i % 2 == 0) {
+      g.Struct(names.back(), 8, {});
+    } else {
+      fwds[i] = g.Fwd(names.back());
+    }
+  }
+  for (int i = 0; i < 3000; ++i) {
+    if (i % 2 == 0) {
+      fwds[i] = g.Fwd(names[i]);
+    } else {
+      g.Struct(names[i], 8, {});
+    }
+  }
+  for (size_t i = 0; i < names.size(); ++i) {
+    ASSERT_TRUE(g.CompleteStruct(fwds[i], 8, {}).ok());
+    if (i % 500 == 0 || i + 1 == names.size()) {
+      for (const std::string& name : names) {
+        ASSERT_EQ(g.FindStruct(name), ScanByKindAndName(g, BtfKind::kStruct, name)) << name;
+        ASSERT_EQ(g.FindByKindAndName(BtfKind::kFwd, name),
+                  ScanByKindAndName(g, BtfKind::kFwd, name))
+            << name;
+      }
+    }
+  }
 }
 
 TEST(TypeGraphTest, ResolveAliases) {

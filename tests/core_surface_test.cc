@@ -2,6 +2,7 @@
 // content, extract through the full binary path, verify classifications.
 #include <gtest/gtest.h>
 
+#include "src/btf/btf_codec.h"
 #include "src/btf/btf_print.h"
 #include "src/core/dependency_surface.h"
 #include "src/elf/elf_reader.h"
@@ -259,6 +260,100 @@ TEST(SurfaceExtractTest, DegradesGracefullyWithoutDebugInfo) {
     inlined += entry.status.fully_inlined ? 1 : 0;
   }
   EXPECT_GT(inlined, 0);
+}
+
+// A hand-built x86-64 image holding only .text symbols, a .BTF section and
+// an ftrace_events registry with one record per (event, struct, func address)
+// triple; every other surface view is missing.
+struct TracepointRecordSpec {
+  std::string event;
+  std::string struct_name;
+  uint64_t func_addr;
+};
+
+std::vector<uint8_t> BuildTracepointImage(const TypeGraph& btf,
+                                          const std::vector<ElfSymbol>& text_symbols,
+                                          const std::vector<TracepointRecordSpec>& records) {
+  constexpr uint64_t kText = 0x1000;
+  constexpr uint64_t kStrings = 0x2000;
+  constexpr uint64_t kRecords = 0x3000;
+  constexpr uint64_t kArray = 0x4000;
+  constexpr int kPtr = 8;
+  ElfWriter w(ElfIdent{});
+  uint32_t text = w.AddSection(".text", SectionType::kProgbits, std::vector<uint8_t>(64, 0),
+                               kText, kShfAlloc | kShfExecinstr);
+  for (ElfSymbol sym : text_symbols) {
+    sym.type = SymType::kFunc;
+    sym.shndx = static_cast<uint16_t>(text);
+    w.AddSymbol(sym);
+  }
+  ByteWriter strings(Endian::kLittle);
+  auto add_string = [&](const std::string& s) {
+    uint64_t addr = kStrings + strings.size();
+    strings.WriteCString(s);
+    return addr;
+  };
+  ByteWriter recs(Endian::kLittle);
+  ByteWriter array(Endian::kLittle);
+  for (const TracepointRecordSpec& r : records) {
+    array.WriteAddr(kRecords + recs.size(), kPtr);
+    recs.WriteAddr(add_string(r.event), kPtr);
+    recs.WriteAddr(add_string(r.event), kPtr);  // class name
+    recs.WriteAddr(add_string(r.struct_name), kPtr);
+    recs.WriteAddr(add_string("fmt"), kPtr);
+    recs.WriteAddr(r.func_addr, kPtr);
+  }
+  uint64_t array_bytes = array.size();
+  w.AddSection(".rodata", SectionType::kProgbits, strings.TakeBytes(), kStrings, kShfAlloc);
+  w.AddSection(".data", SectionType::kProgbits, recs.TakeBytes(), kRecords, kShfAlloc);
+  uint32_t events = w.AddSection(kSectionFtraceEvents, SectionType::kProgbits,
+                                 array.TakeBytes(), kArray, kShfAlloc);
+  w.AddSymbol({kSymStartFtrace, kArray, 0, SymBind::kGlobal, SymType::kObject,
+               static_cast<uint16_t>(events)});
+  w.AddSymbol({kSymStopFtrace, kArray + array_bytes, 0, SymBind::kGlobal, SymType::kObject,
+               static_cast<uint16_t>(events)});
+  w.AddSection(".BTF", SectionType::kProgbits, EncodeBtf(btf));
+  return w.Finish().TakeValue();
+}
+
+TEST(SurfaceExtractTest, TracepointFuncResolvesToFirstSymbolAtAddress) {
+  TypeGraph btf;
+  BtfTypeId proto = btf.FuncProto(kBtfVoid, {});
+  BtfTypeId first = btf.Func("trace_event_raw_event_first", proto);
+  btf.Func("trace_event_raw_event_second", proto);
+  BtfTypeId raw = btf.Struct("trace_event_raw_ev", 8, {});
+  // Two symbols share the handler's address (an alias folded by the
+  // compiler); the first symbol-table entry names it.
+  std::vector<uint8_t> image = BuildTracepointImage(
+      btf,
+      {{"trace_event_raw_event_first", 0x1000, 4, SymBind::kGlobal},
+       {"trace_event_raw_event_second", 0x1000, 4, SymBind::kGlobal}},
+      {{"ev", "trace_event_raw_ev", 0x1000}});
+  auto surface = DependencySurface::Extract(std::move(image));
+  ASSERT_TRUE(surface.ok()) << surface.error().ToString();
+  const TracepointEntry* tp = surface->FindTracepoint("ev");
+  ASSERT_NE(tp, nullptr);
+  EXPECT_EQ(tp->func_name, "trace_event_raw_event_first");
+  EXPECT_EQ(tp->func_btf_id, first);
+  EXPECT_EQ(tp->struct_btf_id, raw);
+}
+
+TEST(SurfaceExtractTest, TracepointWithEmptyStructNameKeepsUnknownId) {
+  // An anonymous struct must not answer a record whose struct-name string
+  // is empty: the id stays 0, which the differ treats as unknown.
+  TypeGraph btf;
+  BtfTypeId i = btf.Int("int", 4);
+  btf.Struct("", 4, {{"x", i, 0}});
+  std::vector<uint8_t> image =
+      BuildTracepointImage(btf, {{"handler", 0x1000, 4, SymBind::kGlobal}}, {{"ev", "", 0x1000}});
+  auto surface = DependencySurface::Extract(std::move(image));
+  ASSERT_TRUE(surface.ok()) << surface.error().ToString();
+  const TracepointEntry* tp = surface->FindTracepoint("ev");
+  ASSERT_NE(tp, nullptr);
+  EXPECT_EQ(tp->struct_name, "");
+  EXPECT_EQ(tp->struct_btf_id, 0u);
+  EXPECT_EQ(tp->func_name, "handler");
+  EXPECT_EQ(tp->func_btf_id, 0u);
 }
 
 TEST(SurfaceExtractTest, RejectsGarbageImages) {

@@ -105,22 +105,6 @@ TEST(ElfReaderTest, EmptyObjectParses) {
   EXPECT_FALSE(reader->SectionDataByName(".missing").ok());
 }
 
-TEST(ElfReaderTest, SymbolsAtAddressFindsDuplicates) {
-  ElfWriter w(ElfIdent{});
-  uint32_t text = w.AddSection(".text", SectionType::kProgbits, std::vector<uint8_t>(16, 0),
-                               0x1000, kShfAlloc | kShfExecinstr);
-  // Two static functions at the same address model a duplicated
-  // header-defined function folded by the compiler.
-  w.AddSymbol({"get_order", 0x1004, 4, SymBind::kLocal, SymType::kFunc, (uint16_t)text});
-  w.AddSymbol({"get_order", 0x1004, 4, SymBind::kLocal, SymType::kFunc, (uint16_t)text});
-  w.AddSymbol({"other", 0x1008, 4, SymBind::kGlobal, SymType::kFunc, (uint16_t)text});
-  auto reader = ElfReader::Parse(w.Finish().TakeValue());
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->SymbolsAtAddress(0x1004).size(), 2u);
-  EXPECT_EQ(reader->SymbolsAtAddress(0x1008).size(), 1u);
-  EXPECT_TRUE(reader->SymbolsAtAddress(0x2000).empty());
-}
-
 TEST(ElfReaderTest, LocalSymbolsPrecedeGlobals) {
   ElfWriter w(ElfIdent{});
   uint32_t text =
