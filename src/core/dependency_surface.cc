@@ -8,11 +8,11 @@
 #include <utility>
 
 #include "src/btf/btf_codec.h"
-#include "src/dwarf/dwarf_codec.h"
 #include "src/elf/elf_reader.h"
 #include "src/obs/diagnostics.h"
 #include "src/obs/context.h"
 #include "src/obs/metrics.h"
+#include "src/obs/run_report.h"
 #include "src/obs/span.h"
 #include "src/util/str_util.h"
 
@@ -132,10 +132,12 @@ std::string FunctionStatus::CollisionClass() const {
 }
 
 std::string FunctionEntry::StatusJson() const {
+  // Names, files and caller strings come from the image: escape them all.
+  auto quoted = [](const std::string& s) { return "\"" + obs::JsonEscape(s) + "\""; };
   std::string inline_type = status.fully_inlined          ? "Fully inlined"
                             : status.selectively_inlined  ? "Partially inlined"
                                                           : "Not inlined";
-  std::string out = "{\"name\": \"" + name + "\"";
+  std::string out = "{\"name\": " + quoted(name);
   out += ", \"collision_type\": \"" + status.CollisionClass() + "\"";
   out += ", \"inline_type\": \"" + inline_type + "\"";
   out += ", \"funcs\": [";
@@ -144,16 +146,16 @@ std::string FunctionEntry::StatusJson() const {
     if (i != 0) {
       out += ", ";
     }
-    out += StrFormat("{\"name\": \"%s\", \"external\": %s, \"loc\": \"%s:%u\"",
-                     inst.name.c_str(), inst.external ? "true" : "false",
-                     inst.decl_file.c_str(), inst.decl_line);
+    out += "{\"name\": " + quoted(inst.name);
+    out += StrFormat(", \"external\": %s, \"loc\": ", inst.external ? "true" : "false");
+    out += quoted(StrFormat("%s:%u", inst.decl_file.c_str(), inst.decl_line));
     out += ", \"caller_inline\": [";
     for (size_t k = 0; k < inst.caller_inline.size(); ++k) {
-      out += (k != 0 ? ", \"" : "\"") + inst.caller_inline[k] + "\"";
+      out += (k != 0 ? ", " : "") + quoted(inst.caller_inline[k]);
     }
     out += "], \"caller_func\": [";
     for (size_t k = 0; k < inst.caller_func.size(); ++k) {
-      out += (k != 0 ? ", \"" : "\"") + inst.caller_func[k] + "\"";
+      out += (k != 0 ? ", " : "") + quoted(inst.caller_func[k]);
     }
     out += "]}";
   }
@@ -162,8 +164,9 @@ std::string FunctionEntry::StatusJson() const {
     if (i != 0) {
       out += ", ";
     }
-    out += StrFormat("{\"name\": \"%s\", \"addr\": %llu, \"bind\": \"%s\", \"size\": %llu}",
-                     symbols[i].name.c_str(), (unsigned long long)symbols[i].value,
+    out += "{\"name\": " + quoted(symbols[i].name);
+    out += StrFormat(", \"addr\": %llu, \"bind\": \"%s\", \"size\": %llu}",
+                     (unsigned long long)symbols[i].value,
                      symbols[i].bind == SymBind::kGlobal ? "STB_GLOBAL" : "STB_LOCAL",
                      (unsigned long long)symbols[i].size);
   }
@@ -251,7 +254,7 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
   // ---- DWARF: function instances and inline structure. Absent debug
   // sections degrade to a BTF+symtab-only surface (distro kernels without
   // dbgsym packages): declarations remain, compilation status is unknown.
-  std::map<std::string, std::vector<FunctionInstance>> instances;
+  FunctionInstanceMap instances;
   surface.meta_.has_debug_info = reader.SectionByName(kDwarfInfoSection) != nullptr &&
                                  reader.SectionByName(kDwarfAbbrevSection) != nullptr;
   {
@@ -262,9 +265,8 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       DEPSURF_ASSIGN_OR_RETURN(info_reader, reader.SectionDataByName(kDwarfInfoSection));
       DEPSURF_ASSIGN_OR_RETURN(abbrev_bytes, abbrev_reader.ReadBytes(abbrev_reader.size()));
       DEPSURF_ASSIGN_OR_RETURN(info_bytes, info_reader.ReadBytes(info_reader.size()));
-      DEPSURF_ASSIGN_OR_RETURN(document,
-                               DecodeDwarf(abbrev_bytes, info_bytes, reader.endian()));
-      DEPSURF_ASSIGN_OR_RETURN(collected, CollectFunctionInstances(document));
+      DEPSURF_ASSIGN_OR_RETURN(
+          collected, DecodeFunctionInstances(abbrev_bytes, info_bytes, reader.endian()));
       instances = std::move(collected);
       return Status::Ok();
     };
@@ -372,7 +374,8 @@ Result<DependencySurface> DependencySurface::Extract(std::vector<uint8_t> image_
       status.external = !entry.symbols.empty() &&
                         entry.symbols.front().bind == SymBind::kGlobal;
     }
-    surface.functions_.emplace(name, std::move(entry));
+    // `instances` iterates in key order, so every insert lands at the end.
+    surface.functions_.emplace_hint(surface.functions_.end(), name, std::move(entry));
   }
   }
 

@@ -64,55 +64,84 @@ enum class DwForm : uint8_t {
 // Which form each attribute uses (fixed per attribute in this dialect).
 DwForm FormOf(DwAttr attr);
 
+// One attribute of a DIE. Attributes live in the owning document's flat
+// attribute vector, linked per DIE through `next`.
 struct DwarfAttrValue {
   DwAttr attr;
-  // Exactly one of these is meaningful, per FormOf(attr).
-  std::string str;
+  uint32_t next = 0;  // the DIE's next attribute; 0 = last
+  // Per FormOf(attr): the number, or the string's offset into the
+  // document's string blob.
   uint64_t num = 0;
-
-  static DwarfAttrValue String(DwAttr attr, std::string value);
-  static DwarfAttrValue Number(DwAttr attr, uint64_t value);
+  uint32_t str_len = 0;
 };
 
-// One DIE. Children are stored as indices into the owning document's arena,
-// so the tree is cheap to traverse and serialize.
+// One DIE: plain indices into the owning document, no containers of its
+// own. Index 0 means "none" for every link.
 struct Die {
   DwTag tag;
-  std::vector<DwarfAttrValue> attrs;
-  std::vector<uint32_t> children;
-
-  const DwarfAttrValue* Find(DwAttr attr) const;
-  std::optional<std::string> GetString(DwAttr attr) const;
-  std::optional<uint64_t> GetNumber(DwAttr attr) const;
-  bool GetFlag(DwAttr attr) const;
+  uint32_t first_child = 0;
+  uint32_t last_child = 0;
+  uint32_t next_sibling = 0;
+  uint32_t first_attr = 0;
+  uint32_t last_attr = 0;
 };
 
 // An arena of DIEs. Index 0 is reserved (null reference); real DIEs start
 // at index 1. Top-level DIEs (compile units) are tracked separately.
+//
+// This is the write-side model: kernelgen builds one per image and
+// EncodeDwarf serializes it. DWARF read back from an image is never
+// materialized as a document; DecodeFunctionInstances (function_view.h)
+// streams it.
 class DwarfDocument {
  public:
-  DwarfDocument() : dies_(1) {}  // slot 0 = null
+  DwarfDocument() : dies_(1), attrs_(1) {}  // slot 0 = null
 
   // Creates a DIE; if parent != 0 it is appended to the parent's children,
   // otherwise it becomes a root (compile unit).
   uint32_t AddDie(DwTag tag, uint32_t parent);
 
-  Die& die(uint32_t index) { return dies_[index]; }
   const Die& die(uint32_t index) const { return dies_[index]; }
   uint32_t num_dies() const { return static_cast<uint32_t>(dies_.size()) - 1; }
   const std::vector<uint32_t>& roots() const { return roots_; }
 
-  void SetString(uint32_t die, DwAttr attr, std::string value);
+  void SetString(uint32_t die, DwAttr attr, std::string_view value);
   void SetNumber(uint32_t die, DwAttr attr, uint64_t value);
   void SetFlag(uint32_t die, DwAttr attr);
 
-  // Depth-first visit of every DIE under (and including) `index`.
+  // The first value of `attr` on `die`, if any. String views stay valid
+  // until the next SetString.
+  std::optional<std::string_view> GetString(uint32_t die, DwAttr attr) const;
+  std::optional<uint64_t> GetNumber(uint32_t die, DwAttr attr) const;
+  bool GetFlag(uint32_t die, DwAttr attr) const;
+  // The string an attribute holds (empty for non-string forms).
+  std::string_view StringOf(const DwarfAttrValue& value) const;
+
+  // Calls fn(child_index) for each child of `index`, in order.
+  template <typename Fn>
+  void ForEachChild(uint32_t index, Fn&& fn) const {
+    for (uint32_t c = dies_[index].first_child; c != 0; c = dies_[c].next_sibling) {
+      fn(c);
+    }
+  }
+
+  // Calls fn(attr) for each attribute of `die`, in the order set.
+  template <typename Fn>
+  void ForEachAttr(uint32_t die, Fn&& fn) const {
+    for (uint32_t a = dies_[die].first_attr; a != 0; a = attrs_[a].next) {
+      fn(attrs_[a]);
+    }
+  }
+
+  // Depth-first visit of every DIE under (and including) `index`. The
+  // recursion depth is the tree depth, which is fine for the shallow
+  // documents kernelgen builds (CU > subprogram > site). Only kernelgen-built
+  // documents reach this walk and EncodeDwarf's recursion: the program never
+  // turns DWARF bytes read from an image into a document.
   template <typename Fn>
   void Walk(uint32_t index, Fn&& fn) const {
     fn(index, dies_[index]);
-    for (uint32_t child : dies_[index].children) {
-      Walk(child, fn);
-    }
+    ForEachChild(index, [&](uint32_t child) { Walk(child, fn); });
   }
 
   // Visits every DIE in the document.
@@ -124,7 +153,12 @@ class DwarfDocument {
   }
 
  private:
+  const DwarfAttrValue* Find(uint32_t die, DwAttr attr) const;
+  void Append(uint32_t die, DwarfAttrValue value);
+
   std::vector<Die> dies_;
+  std::vector<DwarfAttrValue> attrs_;
+  std::string strings_;
   std::vector<uint32_t> roots_;
 };
 

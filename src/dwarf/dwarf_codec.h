@@ -14,7 +14,6 @@
 
 #include "src/dwarf/dwarf.h"
 #include "src/util/byte_buffer.h"
-#include "src/util/error.h"
 
 namespace depsurf {
 
@@ -27,10 +26,8 @@ struct DwarfSections {
 // reference attributes are remapped accordingly.
 DwarfSections EncodeDwarf(const DwarfDocument& document, Endian endian = Endian::kLittle);
 
-// Parses the two sections back into a document (indices in pre-order).
-Result<DwarfDocument> DecodeDwarf(const std::vector<uint8_t>& abbrev,
-                                  const std::vector<uint8_t>& info,
-                                  Endian endian = Endian::kLittle);
+// The read side is DecodeFunctionInstances (function_view.h): it streams
+// the two sections straight into the function-instance table.
 
 }  // namespace depsurf
 

@@ -1,5 +1,5 @@
-// Extraction of function instances and call-site relations from a DWARF-lite
-// document. Produces the data behind the paper's function-status records
+// Extraction of function instances and call-site relations from DWARF-lite
+// sections. Produces the data behind the paper's function-status records
 // (Appendix A.2.4): per-instance name/location/inline attribute, plus the
 // lists of callers that inlined the function and callers that call it
 // out of line.
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/dwarf/dwarf.h"
+#include "src/util/byte_buffer.h"
 #include "src/util/error.h"
 
 namespace depsurf {
@@ -36,11 +37,23 @@ struct FunctionInstance {
   bool HasCode() const { return low_pc.has_value(); }
 };
 
-// All instances in a document, grouped by function name, in DIE order.
-// Fails on structurally invalid documents (e.g., an inlined_subroutine
-// whose origin is not a subprogram).
-Result<std::map<std::string, std::vector<FunctionInstance>>> CollectFunctionInstances(
-    const DwarfDocument& document);
+// All instances of an image, grouped by function name, in DIE order.
+using FunctionInstanceMap = std::map<std::string, std::vector<FunctionInstance>>;
+
+// Decodes the .sdwarf_abbrev/.sdwarf_info sections in one pass straight into
+// the instance table; no DIE tree is built, and nesting depth costs only a
+// stack slot per level. Each DW_TAG_subprogram child of a compile unit is an
+// instance; every inlined_subroutine / call_site below such a subprogram,
+// at any depth, adds "cu_file:subprogram" to its origin's caller_inline /
+// caller_func list.
+//
+// Fails on malformed bytes (wire errors first, then a DIE reference beyond
+// the last DIE) and on structurally invalid documents: a top-level DIE that
+// is not a compile unit or an unnamed instance (whichever comes first in
+// the stream), then a site whose origin is not an instance.
+Result<FunctionInstanceMap> DecodeFunctionInstances(const std::vector<uint8_t>& abbrev,
+                                                    const std::vector<uint8_t>& info,
+                                                    Endian endian = Endian::kLittle);
 
 }  // namespace depsurf
 

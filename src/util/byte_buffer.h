@@ -91,6 +91,9 @@ class ByteReader {
   Result<std::vector<uint8_t>> ReadBytes(size_t len);
   // Reads until NUL (consuming it).
   Result<std::string> ReadCString();
+  // Like ReadCString, but views the bytes in place; the view lives as long
+  // as the underlying buffer.
+  Result<std::string_view> ReadCStringView();
   // Reads a NUL-terminated string at an absolute offset without moving the
   // cursor (string-table access pattern).
   Result<std::string> ReadCStringAt(size_t offset) const;

@@ -12,6 +12,8 @@
 #include "src/kernelgen/corpus.h"
 #include "src/kernelgen/image_builder.h"
 #include "src/kernelgen/scripted.h"
+#include "src/obs/json_lint.h"
+#include "src/util/leb128.h"
 
 namespace depsurf {
 namespace {
@@ -109,6 +111,77 @@ TEST(SurfaceExtractTest, StatusJsonShape) {
   EXPECT_NE(json.find("caller_inline"), std::string::npos);
   EXPECT_NE(json.find("fs/aio.c:aio_fsync_work"), std::string::npos);
   EXPECT_NE(json.find("\"bind\": \"STB_GLOBAL\""), std::string::npos);
+}
+
+TEST(SurfaceExtractTest, StatusJsonEscapesImageStrings) {
+  // Every string in the status document comes from the image, so quotes and
+  // backslashes in any of them must be escaped.
+  const std::string odd = "a\"b\\c";
+  FunctionEntry entry;
+  entry.name = "f" + odd;
+  FunctionInstance inst;
+  inst.name = entry.name;
+  inst.decl_file = odd;
+  inst.decl_line = 3;
+  inst.caller_inline = {odd + ":g"};
+  inst.caller_func = {odd + ":h"};
+  entry.instances.push_back(inst);
+  ElfSymbol sym;
+  sym.name = entry.name + ".isra.0";
+  entry.symbols.push_back(sym);
+
+  auto doc = obs::ParseJson(entry.StatusJson());
+  ASSERT_TRUE(doc.ok()) << doc.error().ToString() << "\n" << entry.StatusJson();
+  EXPECT_EQ(doc->Find("name")->string, entry.name);
+  const obs::JsonValue& func = doc->Find("funcs")->array.at(0);
+  EXPECT_EQ(func.Find("name")->string, entry.name);
+  EXPECT_EQ(func.Find("loc")->string, odd + ":3");
+  EXPECT_EQ(func.Find("caller_inline")->array.at(0).string, odd + ":g");
+  EXPECT_EQ(func.Find("caller_func")->array.at(0).string, odd + ":h");
+  EXPECT_EQ(doc->Find("symbols")->array.at(0).Find("name")->string, sym.name);
+}
+
+TEST(SurfaceExtractTest, DeeplyNestedDwarfExtractsWithoutCrashing) {
+  // One compile unit holding a chain of 1M nested subprograms: only the
+  // outermost is a unit-level instance. The decoder keeps its DIE stack on
+  // the heap, so nesting depth costs memory, not native stack.
+  constexpr size_t kDepth = 1'000'000;
+  ByteWriter abbrev;
+  for (uint64_t v : {1, 0x11}) {  // 1: compile_unit, children, name
+    WriteUleb128(abbrev, v);
+  }
+  abbrev.WriteU8(1);
+  for (uint64_t v : {0x03, 1, 0, 0, 2, 0x2e}) {  // 2: subprogram, children, name
+    WriteUleb128(abbrev, v);
+  }
+  abbrev.WriteU8(1);
+  for (uint64_t v : {0x03, 1, 0, 0, 0}) {
+    WriteUleb128(abbrev, v);
+  }
+  ByteWriter info;
+  WriteUleb128(info, 1);
+  info.WriteCString("deep.c");
+  for (size_t i = 0; i < kDepth; ++i) {
+    WriteUleb128(info, 2);
+    info.WriteCString("f");
+  }
+  info.WriteZeros(kDepth + 1);  // close every subprogram, then the unit
+
+  ElfWriter w(ElfIdent{});
+  w.AddSection(kSectionDwarfAbbrev, SectionType::kProgbits, abbrev.TakeBytes(), 0, 0);
+  w.AddSection(kSectionDwarfInfo, SectionType::kProgbits, info.TakeBytes(), 0, 0);
+  auto bytes = w.Finish();
+  ASSERT_TRUE(bytes.ok());
+  auto surface = DependencySurface::Extract(bytes.TakeValue());
+  ASSERT_TRUE(surface.ok()) << surface.error().ToString();
+  EXPECT_EQ(surface->health().dwarf, DegradationState::kClean);
+  EXPECT_TRUE(surface->meta().has_debug_info);
+  ASSERT_EQ(surface->functions().size(), 1u);
+  const FunctionEntry* f = surface->FindFunction("f");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(f->instances.size(), 1u);
+  EXPECT_EQ(f->instances[0].decl_file, "deep.c");
+  EXPECT_TRUE(f->instances[0].caller_inline.empty());
 }
 
 TEST(SurfaceExtractTest, StructsExtracted) {

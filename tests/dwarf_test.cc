@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "src/dwarf/dwarf.h"
 #include "src/dwarf/dwarf_codec.h"
 #include "src/dwarf/function_view.h"
+#include "tests/dwarf_reference.h"
 
 namespace depsurf {
 namespace {
@@ -42,16 +47,48 @@ DwarfDocument MakeVfsFsyncDocument() {
   return doc;
 }
 
+// The attributes of one DIE, in order, with strings resolved.
+std::vector<std::tuple<DwAttr, std::string, uint64_t>> AttrsOf(const DwarfDocument& doc,
+                                                               uint32_t die) {
+  std::vector<std::tuple<DwAttr, std::string, uint64_t>> out;
+  doc.ForEachAttr(die, [&](const DwarfAttrValue& v) {
+    bool is_string = FormOf(v.attr) == DwForm::kString;
+    out.emplace_back(v.attr, std::string(doc.StringOf(v)), is_string ? 0 : v.num);
+  });
+  return out;
+}
+
+size_t ChildCount(const DwarfDocument& doc, uint32_t die) {
+  size_t n = 0;
+  doc.ForEachChild(die, [&](uint32_t) { ++n; });
+  return n;
+}
+
+// The streaming decoder's view of `doc`'s encoding, checked against the
+// reference reader on the same bytes.
+Result<FunctionInstanceMap> Streamed(const DwarfDocument& doc) {
+  DwarfSections sections = EncodeDwarf(doc);
+  auto streamed = DecodeFunctionInstances(sections.abbrev, sections.info);
+  EXPECT_EQ(DescribeInstances(streamed), DescribeInstances(CollectFunctionInstances(doc)));
+  return streamed;
+}
+
 TEST(DwarfDocumentTest, TreeStructure) {
   DwarfDocument doc = MakeVfsFsyncDocument();
   EXPECT_EQ(doc.roots().size(), 2u);
   EXPECT_EQ(doc.num_dies(), 8u);
-  const Die& cu = doc.die(doc.roots()[0]);
-  EXPECT_EQ(cu.tag, DwTag::kCompileUnit);
-  EXPECT_EQ(cu.children.size(), 2u);
-  EXPECT_EQ(cu.GetString(DwAttr::kName).value(), "fs/sync.c");
-  EXPECT_FALSE(cu.GetString(DwAttr::kDeclFile).has_value());
-  EXPECT_FALSE(cu.GetNumber(DwAttr::kDeclLine).has_value());
+  uint32_t cu = doc.roots()[0];
+  EXPECT_EQ(doc.die(cu).tag, DwTag::kCompileUnit);
+  EXPECT_EQ(ChildCount(doc, cu), 2u);
+  EXPECT_EQ(doc.GetString(cu, DwAttr::kName).value(), "fs/sync.c");
+  EXPECT_FALSE(doc.GetString(cu, DwAttr::kDeclFile).has_value());
+  EXPECT_FALSE(doc.GetNumber(cu, DwAttr::kDeclLine).has_value());
+  // Attributes keep their order, and the first of a repeated one wins.
+  uint32_t vfs_fsync = doc.die(cu).first_child;
+  EXPECT_EQ(std::get<0>(AttrsOf(doc, vfs_fsync).front()), DwAttr::kName);
+  EXPECT_EQ(std::get<0>(AttrsOf(doc, vfs_fsync).back()), DwAttr::kLowPc);
+  doc.SetString(vfs_fsync, DwAttr::kName, "shadowed");
+  EXPECT_EQ(doc.GetString(vfs_fsync, DwAttr::kName).value(), "vfs_fsync");
 }
 
 TEST(DwarfCodecTest, RoundTripPreservesEverything) {
@@ -68,18 +105,9 @@ TEST(DwarfCodecTest, RoundTripPreservesEverything) {
 
     // Arena order equals pre-order for this document, so DIEs align 1:1.
     for (uint32_t i = 1; i <= doc.num_dies(); ++i) {
-      const Die& a = doc.die(i);
-      const Die& b = decoded->die(i);
-      EXPECT_EQ(a.tag, b.tag) << "die " << i;
-      ASSERT_EQ(a.attrs.size(), b.attrs.size());
-      for (size_t k = 0; k < a.attrs.size(); ++k) {
-        EXPECT_EQ(a.attrs[k].attr, b.attrs[k].attr);
-        EXPECT_EQ(a.attrs[k].str, b.attrs[k].str);
-        if (FormOf(a.attrs[k].attr) != DwForm::kString) {
-          EXPECT_EQ(a.attrs[k].num, b.attrs[k].num);
-        }
-      }
-      EXPECT_EQ(a.children.size(), b.children.size());
+      EXPECT_EQ(doc.die(i).tag, decoded->die(i).tag) << "die " << i;
+      EXPECT_EQ(AttrsOf(doc, i), AttrsOf(*decoded, i)) << "die " << i;
+      EXPECT_EQ(ChildCount(doc, i), ChildCount(*decoded, i)) << "die " << i;
     }
   }
 }
@@ -114,12 +142,17 @@ TEST(DwarfCodecTest, RejectsTruncatedInfo) {
   // Either a parse error or (rarely) a clean prefix; must not crash. The
   // cut below lands mid-DIE, so it must error.
   EXPECT_FALSE(DecodeDwarf(sections.abbrev, truncated).ok());
+  EXPECT_FALSE(DecodeFunctionInstances(sections.abbrev, truncated).ok());
 }
 
 TEST(DwarfCodecTest, RejectsBadAbbrevCode) {
   DwarfSections sections = EncodeDwarf(MakeVfsFsyncDocument());
   std::vector<uint8_t> info = {0x7f};  // abbrev code 127: out of range
   EXPECT_FALSE(DecodeDwarf(sections.abbrev, info).ok());
+  auto streamed = DecodeFunctionInstances(sections.abbrev, info);
+  ASSERT_FALSE(streamed.ok());
+  EXPECT_EQ(streamed.error().ToString(),
+            "malformed_data: abbrev code out of range (at byte 0x1)");
 }
 
 TEST(DwarfCodecTest, EmptyDocumentRoundTrips) {
@@ -128,11 +161,14 @@ TEST(DwarfCodecTest, EmptyDocumentRoundTrips) {
   auto decoded = DecodeDwarf(sections.abbrev, sections.info);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->num_dies(), 0u);
+  auto streamed = DecodeFunctionInstances(sections.abbrev, sections.info);
+  ASSERT_TRUE(streamed.ok());
+  EXPECT_TRUE(streamed->empty());
 }
 
 TEST(FunctionViewTest, PaperExampleShape) {
   DwarfDocument doc = MakeVfsFsyncDocument();
-  auto result = CollectFunctionInstances(doc);
+  auto result = Streamed(doc);
   ASSERT_TRUE(result.ok()) << result.error().ToString();
   const auto& instances = *result;
   ASSERT_EQ(instances.count("vfs_fsync"), 1u);
@@ -150,9 +186,7 @@ TEST(FunctionViewTest, PaperExampleShape) {
 
 TEST(FunctionViewTest, SurvivesCodecRoundTrip) {
   DwarfSections sections = EncodeDwarf(MakeVfsFsyncDocument());
-  auto decoded = DecodeDwarf(sections.abbrev, sections.info);
-  ASSERT_TRUE(decoded.ok());
-  auto result = CollectFunctionInstances(*decoded);
+  auto result = DecodeFunctionInstances(sections.abbrev, sections.info);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->at("vfs_fsync")[0].caller_func[0], "fs/aio.c:aio_fsync_work");
 }
@@ -170,7 +204,7 @@ TEST(FunctionViewTest, FullyInlinedInstanceHasNoCode) {
   uint32_t site = doc.AddDie(DwTag::kInlinedSubroutine, caller);
   doc.SetNumber(site, DwAttr::kAbstractOrigin, target);
 
-  auto result = CollectFunctionInstances(doc);
+  auto result = Streamed(doc);
   ASSERT_TRUE(result.ok());
   const FunctionInstance& inst = result->at("blk_account_io_start")[0];
   EXPECT_FALSE(inst.HasCode());
@@ -189,7 +223,7 @@ TEST(FunctionViewTest, DuplicatedStaticYieldsMultipleInstances) {
     doc.SetString(sub, DwAttr::kDeclFile, "include/asm-generic/getorder.h");
     doc.SetNumber(sub, DwAttr::kLowPc, 0x1000);
   }
-  auto result = CollectFunctionInstances(doc);
+  auto result = Streamed(doc);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->at("get_order").size(), 2u);
   EXPECT_EQ(result->at("get_order")[0].decl_file, "include/asm-generic/getorder.h");
@@ -203,7 +237,7 @@ TEST(FunctionViewTest, RejectsOriginPointingAtNonSubprogram) {
   doc.SetString(sub, DwAttr::kName, "f");
   uint32_t site = doc.AddDie(DwTag::kInlinedSubroutine, sub);
   doc.SetNumber(site, DwAttr::kAbstractOrigin, cu);  // bogus: CU, not subprogram
-  EXPECT_FALSE(CollectFunctionInstances(doc).ok());
+  EXPECT_FALSE(Streamed(doc).ok());
 }
 
 TEST(FunctionViewTest, RejectsAnonymousSubprogram) {
@@ -211,7 +245,7 @@ TEST(FunctionViewTest, RejectsAnonymousSubprogram) {
   uint32_t cu = doc.AddDie(DwTag::kCompileUnit, 0);
   doc.SetString(cu, DwAttr::kName, "a.c");
   doc.AddDie(DwTag::kSubprogram, cu);
-  EXPECT_FALSE(CollectFunctionInstances(doc).ok());
+  EXPECT_FALSE(Streamed(doc).ok());
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "src/btf/btf_codec.h"
-#include "src/dwarf/dwarf_codec.h"
 #include "src/dwarf/function_view.h"
 #include "src/elf/elf_reader.h"
 #include "src/kernelgen/compiler.h"
@@ -351,9 +350,7 @@ TEST(ImageBuilderTest, EmitsParsableImage) {
   auto info_bytes = info->ReadBytes(info->size());
   ASSERT_TRUE(abbrev_bytes.ok());
   ASSERT_TRUE(info_bytes.ok());
-  auto doc = DecodeDwarf(*abbrev_bytes, *info_bytes);
-  ASSERT_TRUE(doc.ok()) << doc.error().ToString();
-  auto instances = CollectFunctionInstances(*doc);
+  auto instances = DecodeFunctionInstances(*abbrev_bytes, *info_bytes);
   ASSERT_TRUE(instances.ok()) << instances.error().ToString();
   ASSERT_TRUE(instances->count("vfs_fsync"));
   const FunctionInstance& fsync = instances->at("vfs_fsync")[0];

@@ -11,6 +11,7 @@
 #include "src/elf/elf_writer.h"
 #include "src/util/prng.h"
 #include "src/util/str_util.h"
+#include "tests/dwarf_reference.h"
 
 namespace depsurf {
 namespace {
@@ -97,57 +98,22 @@ TEST_P(SeededTest, BtfRoundTripRandomGraphs) {
 
 TEST_P(SeededTest, DwarfRoundTripRandomForests) {
   Prng prng(GetParam() ^ 0xd3a);
-  DwarfDocument doc;
-  size_t num_cus = 1 + prng.NextBelow(4);
-  std::vector<uint32_t> subprograms;
-  for (size_t cu_index = 0; cu_index < num_cus; ++cu_index) {
-    uint32_t cu = doc.AddDie(DwTag::kCompileUnit, 0);
-    doc.SetString(cu, DwAttr::kName, StrFormat("dir/file%zu.c", cu_index));
-    size_t num_subs = prng.NextBelow(12);
-    for (size_t s = 0; s < num_subs; ++s) {
-      uint32_t sub = doc.AddDie(DwTag::kSubprogram, cu);
-      doc.SetString(sub, DwAttr::kName, StrFormat("fn_%zu_%zu", cu_index, s));
-      doc.SetNumber(sub, DwAttr::kDeclLine, prng.NextBelow(5000));
-      if (prng.NextBool(0.5)) {
-        doc.SetFlag(sub, DwAttr::kExternal);
-      }
-      if (prng.NextBool(0.8)) {
-        doc.SetNumber(sub, DwAttr::kLowPc, prng.NextU64());
-      }
-      if (prng.NextBool(0.3) && !subprograms.empty()) {
-        uint32_t site = doc.AddDie(DwTag::kInlinedSubroutine, sub);
-        doc.SetNumber(site, DwAttr::kAbstractOrigin,
-                      subprograms[prng.NextBelow(subprograms.size())]);
-      }
-      if (prng.NextBool(0.3) && !subprograms.empty()) {
-        uint32_t site = doc.AddDie(DwTag::kCallSite, sub);
-        doc.SetNumber(site, DwAttr::kCallOrigin,
-                      subprograms[prng.NextBelow(subprograms.size())]);
-      }
-      subprograms.push_back(sub);
-    }
-  }
+  DwarfDocument doc = RandomDwarfDocument(prng);
   for (Endian endian : {Endian::kLittle, Endian::kBig}) {
     DwarfSections sections = EncodeDwarf(doc, endian);
     auto decoded = DecodeDwarf(sections.abbrev, sections.info, endian);
     ASSERT_TRUE(decoded.ok()) << decoded.error().ToString();
     EXPECT_EQ(decoded->num_dies(), doc.num_dies());
     EXPECT_EQ(decoded->roots().size(), doc.roots().size());
-    // The instance view must survive too (references intact).
+    // The instance view must survive too (references intact), and the
+    // streaming decoder must see exactly what the reference reader sees.
     auto original = CollectFunctionInstances(doc);
     auto roundtrip = CollectFunctionInstances(*decoded);
     ASSERT_TRUE(original.ok());
     ASSERT_TRUE(roundtrip.ok());
-    ASSERT_EQ(original->size(), roundtrip->size());
-    for (const auto& [name, insts] : *original) {
-      const auto& other = roundtrip->at(name);
-      ASSERT_EQ(insts.size(), other.size()) << name;
-      for (size_t i = 0; i < insts.size(); ++i) {
-        EXPECT_EQ(insts[i].caller_inline, other[i].caller_inline);
-        EXPECT_EQ(insts[i].caller_func, other[i].caller_func);
-        EXPECT_EQ(insts[i].low_pc, other[i].low_pc);
-      }
-    }
+    EXPECT_EQ(DescribeInstances(original), DescribeInstances(roundtrip));
+    EXPECT_EQ(DescribeInstances(DecodeFunctionInstances(sections.abbrev, sections.info, endian)),
+              DescribeInstances(original));
   }
 }
 
