@@ -148,6 +148,15 @@ std::string TypeString(const TypeGraph& graph, BtfTypeId id) {
 }
 
 std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id) {
+  std::string scratch;
+  return FuncDeclString(graph, func_id, [&](BtfTypeId id) -> const std::string& {
+    scratch = TypeString(graph, id);
+    return scratch;
+  });
+}
+
+std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id,
+                           const std::function<const std::string&(BtfTypeId)>& type_string) {
   const BtfType* func = graph.Get(func_id);
   if (func == nullptr || func->kind != BtfKind::kFunc) {
     return "<not a function>";
@@ -156,12 +165,15 @@ std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id) {
   if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
     return func->name + "()";
   }
-  std::string out = TypeString(graph, proto->ref_type_id) + " " + func->name + "(";
+  std::string out = type_string(proto->ref_type_id);
+  out += " ";
+  out += func->name;
+  out += "(";
   for (size_t i = 0; i < proto->params.size(); ++i) {
     if (i != 0) {
       out += ", ";
     }
-    std::string type_str = TypeString(graph, proto->params[i].type_id);
+    const std::string& type_str = type_string(proto->params[i].type_id);
     out += type_str;
     if (!proto->params[i].name.empty()) {
       if (type_str.empty() || type_str.back() != '*') {

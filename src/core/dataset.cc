@@ -56,25 +56,73 @@ char MismatchKindCode(MismatchKind kind) {
   return '?';
 }
 
-const StrId* StructRecord::FindField(StrId name) const {
-  auto it = std::lower_bound(fields.begin(), fields.end(), name,
-                             [](const auto& field, StrId key) { return field.first < key; });
-  if (it == fields.end() || it->first != name) {
-    return nullptr;
-  }
-  return &it->second;
+namespace {
+
+uint8_t PackFuncFlags(const FunctionStatus& status) {
+  uint8_t flags = 0;
+  flags |= status.has_exact_symbol ? kFuncExactSymbol : 0;
+  flags |= status.fully_inlined ? kFuncFullInline : 0;
+  flags |= status.selectively_inlined ? kFuncSelectiveInline : 0;
+  flags |= status.transformed ? kFuncTransformed : 0;
+  flags |= status.duplicated ? kFuncDuplicated : 0;
+  flags |= status.collided ? kFuncCollided : 0;
+  flags |= status.external ? kFuncExternal : 0;
+  return flags;
 }
 
-StrId Dataset::Intern(const std::string& s) {
-  auto it = pool_index_.find(s);
-  if (it != pool_index_.end()) {
-    ++intern_hits_;
-    return it->second;
+// TypeString text and hash, rendered once per type id of one graph.
+class TypeTexts {
+ public:
+  explicit TypeTexts(const TypeGraph& graph)
+      : graph_(graph), text_(graph.num_types() + 1), hash_(graph.num_types() + 1, 0) {}
+
+  const std::string& Text(BtfTypeId id) {
+    if (id >= text_.size()) {
+      scratch_ = TypeString(graph_, id);
+      return scratch_;
+    }
+    if (hash_[id] == 0) {
+      text_[id] = TypeString(graph_, id);
+      // 0 marks "not rendered yet"; a text hashing to 0 is re-rendered.
+      hash_[id] = HashString(text_[id]);
+    }
+    return text_[id];
   }
-  ++intern_misses_;
-  StrId id = static_cast<StrId>(pool_.size());
-  pool_.push_back(s);
-  pool_index_.emplace(s, id);
+
+  uint64_t Hash(BtfTypeId id) {
+    if (id >= text_.size()) {
+      return HashString(TypeString(graph_, id));
+    }
+    Text(id);
+    return hash_[id];
+  }
+
+ private:
+  const TypeGraph& graph_;
+  std::vector<std::string> text_;
+  std::vector<uint64_t> hash_;
+  std::string scratch_;
+};
+
+template <typename Record>
+void SortByName(std::vector<Record>& records) {
+  std::sort(records.begin(), records.end(),
+            [](const Record& a, const Record& b) { return a.name < b.name; });
+}
+
+template <typename Record>
+const Record* FindByName(const std::vector<Record>& records, StrId name) {
+  auto it = std::lower_bound(records.begin(), records.end(), name,
+                             [](const Record& r, StrId key) { return r.name < key; });
+  return it == records.end() || it->name != name ? nullptr : &*it;
+}
+
+}  // namespace
+
+StrId Dataset::Intern(std::string_view s) {
+  bool added = false;
+  StrId id = pool_.Intern(s, &added);
+  ++(added ? intern_misses_ : intern_hits_);
   return id;
 }
 
@@ -90,11 +138,6 @@ void Dataset::FlushInternMetrics() {
   }
 }
 
-StrId Dataset::Lookup(const std::string& s) const {
-  auto it = pool_index_.find(s);
-  return it == pool_index_.end() ? kNoStr : it->second;
-}
-
 void Dataset::AddImage(const std::string& label, const DependencySurface& surface) {
   obs::ScopedSpan span("dataset.distill");
   span.AddAttr("image", label);
@@ -103,6 +146,15 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
   record.meta = surface.meta();
   record.health = surface.health();
   const TypeGraph& graph = surface.btf();
+  TypeTexts types(graph);
+  auto type_text = [&types](BtfTypeId id) -> const std::string& { return types.Text(id); };
+  // Pool ids are assigned in first-intern order, which fixes the `.dds`
+  // bytes (tests/golden pins them): every Intern below keeps its place, and
+  // a pair interns its type before its name.
+  auto intern_pair = [this](std::string_view name, std::string_view type) {
+    StrId type_id = Intern(type);
+    return Pair(Intern(name), type_id);
+  };
 
   auto decl_hash = [&](BtfTypeId func_id) -> uint64_t {
     const BtfType* func = graph.Get(func_id);
@@ -110,63 +162,82 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
     if (proto == nullptr || proto->kind != BtfKind::kFuncProto) {
       return 0;
     }
-    uint64_t h = HashString(TypeString(graph, proto->ref_type_id));
+    uint64_t h = types.Hash(proto->ref_type_id);
     for (const BtfParam& p : proto->params) {
-      h = HashCombine({h, HashString(p.name), HashString(TypeString(graph, p.type_id))});
+      h = HashCombine({h, HashString(p.name), types.Hash(p.type_id)});
     }
     return h;
   };
 
+  record.funcs.reserve(surface.functions().size());
   for (const auto& [name, entry] : surface.functions()) {
     FuncRecord fr;
-    fr.status = entry.status;
+    fr.flags = PackFuncFlags(entry.status);
+    if (!entry.status.transform_suffix.empty()) {
+      fr.suffix = suffixes_.Intern(entry.status.transform_suffix);
+    }
     if (entry.btf_id != 0) {
       fr.decl_hash = decl_hash(entry.btf_id);
-      fr.decl = Intern(FuncDeclString(graph, entry.btf_id));
+      fr.decl = Intern(FuncDeclString(graph, entry.btf_id, type_text));
     }
-    record.funcs.emplace(Intern(name), std::move(fr));
+    fr.name = Intern(name);
+    record.funcs.push_back(fr);
   }
+  SortByName(record.funcs);
 
+  record.structs.reserve(surface.structs().size());
   for (const auto& [name, id] : surface.structs()) {
     StructRecord sr;
+    sr.fields_begin = static_cast<uint32_t>(pairs_.size());
     const BtfType* st = graph.Get(id);
     if (st != nullptr) {
-      sr.fields.reserve(st->members.size());
       for (const BtfMember& m : st->members) {
-        sr.fields.emplace_back(Intern(m.name), Intern(TypeString(graph, m.type_id)));
+        pairs_.push_back(intern_pair(m.name, type_text(m.type_id)));
       }
-      std::sort(sr.fields.begin(), sr.fields.end());
+      std::sort(pairs_.begin() + sr.fields_begin, pairs_.end());
     }
-    record.structs.emplace(Intern(name), std::move(sr));
+    sr.fields_count = static_cast<uint32_t>(pairs_.size() - sr.fields_begin);
+    sr.name = Intern(name);
+    record.structs.push_back(sr);
   }
+  SortByName(record.structs);
 
+  record.tracepoints.reserve(surface.tracepoints().size());
   for (const auto& [name, tp] : surface.tracepoints()) {
     TracepointRecord tr;
+    tr.params_begin = static_cast<uint32_t>(pairs_.size());
     if (tp.func_btf_id != 0) {
       const BtfType* func = graph.Get(tp.func_btf_id);
       const BtfType* proto = func != nullptr ? graph.Get(func->ref_type_id) : nullptr;
       if (proto != nullptr) {
         for (const BtfParam& p : proto->params) {
-          tr.func_params.emplace_back(Intern(p.name), Intern(TypeString(graph, p.type_id)));
+          pairs_.push_back(intern_pair(p.name, type_text(p.type_id)));
         }
       }
     }
+    tr.params_count = static_cast<uint32_t>(pairs_.size() - tr.params_begin);
+    tr.fields_begin = static_cast<uint32_t>(pairs_.size());
     if (tp.struct_btf_id != 0) {
       const BtfType* st = graph.Get(tp.struct_btf_id);
       if (st != nullptr) {
         for (const BtfMember& m : st->members) {
-          tr.event_fields.emplace_back(Intern(m.name), Intern(TypeString(graph, m.type_id)));
+          pairs_.push_back(intern_pair(m.name, type_text(m.type_id)));
         }
-        std::sort(tr.event_fields.begin(), tr.event_fields.end());
+        std::sort(pairs_.begin() + tr.fields_begin, pairs_.end());
       }
     }
-    record.tracepoints.emplace(Intern(name), std::move(tr));
+    tr.fields_count = static_cast<uint32_t>(pairs_.size() - tr.fields_begin);
+    tr.name = Intern(name);
+    record.tracepoints.push_back(tr);
   }
+  SortByName(record.tracepoints);
 
+  record.syscalls.reserve(surface.syscalls().size());
   for (const auto& [name, entry] : surface.syscalls()) {
     (void)entry;
-    record.syscalls.insert(Intern(name));
+    record.syscalls.push_back(Intern(name));
   }
+  std::sort(record.syscalls.begin(), record.syscalls.end());
   record.compat_syscalls_traceable = record.meta.compat_syscalls_traceable;
   if (auto pt_regs = surface.FindStruct("pt_regs"); pt_regs.has_value()) {
     const BtfType* st = graph.Get(*pt_regs);
@@ -197,18 +268,27 @@ std::vector<std::string> Dataset::labels() const {
   return out;
 }
 
+const FuncRecord* Dataset::FindFunc(size_t image_index, StrId name) const {
+  return name == kNoStr ? nullptr : FindByName(images_[image_index].funcs, name);
+}
+
+const StructRecord* Dataset::FindStruct(size_t image_index, StrId name) const {
+  return name == kNoStr ? nullptr : FindByName(images_[image_index].structs, name);
+}
+
+const StrId* Dataset::FindField(const StructRecord& record, StrId field) const {
+  std::span<const Pair> fields = Pairs(record.fields_begin, record.fields_count);
+  auto it = std::lower_bound(fields.begin(), fields.end(), field,
+                             [](const Pair& pair, StrId key) { return pair.first < key; });
+  return it == fields.end() || it->first != field ? nullptr : &it->second;
+}
+
 std::vector<std::set<MismatchKind>> Dataset::CheckFunc(const std::string& name) const {
   std::vector<std::set<MismatchKind>> out(images_.size());
   StrId id = Lookup(name);
   const FuncRecord* baseline = nullptr;
   for (size_t i = 0; i < images_.size(); ++i) {
-    const FuncRecord* fr = nullptr;
-    if (id != kNoStr) {
-      auto it = images_[i].funcs.find(id);
-      if (it != images_[i].funcs.end()) {
-        fr = &it->second;
-      }
-    }
+    const FuncRecord* fr = FindFunc(i, id);
     if (fr == nullptr) {
       out[i].insert(MismatchKind::kAbsent);
       continue;
@@ -218,19 +298,19 @@ std::vector<std::set<MismatchKind>> Dataset::CheckFunc(const std::string& name) 
     } else if (fr->decl_hash != baseline->decl_hash) {
       out[i].insert(MismatchKind::kChanged);
     }
-    if (fr->status.fully_inlined) {
+    if ((fr->flags & kFuncFullInline) != 0) {
       out[i].insert(MismatchKind::kFullInline);
     }
-    if (fr->status.selectively_inlined) {
+    if ((fr->flags & kFuncSelectiveInline) != 0) {
       out[i].insert(MismatchKind::kSelectiveInline);
     }
-    if (fr->status.transformed) {
+    if ((fr->flags & kFuncTransformed) != 0) {
       out[i].insert(MismatchKind::kTransformed);
     }
-    if (fr->status.duplicated) {
+    if ((fr->flags & kFuncDuplicated) != 0) {
       out[i].insert(MismatchKind::kDuplicated);
     }
-    if (fr->status.collided) {
+    if ((fr->flags & kFuncCollided) != 0) {
       out[i].insert(MismatchKind::kCollision);
     }
   }
@@ -240,22 +320,17 @@ std::vector<std::set<MismatchKind>> Dataset::CheckFunc(const std::string& name) 
 std::vector<std::set<MismatchKind>> Dataset::CheckStruct(const std::string& name) const {
   std::vector<std::set<MismatchKind>> out(images_.size());
   StrId id = Lookup(name);
-  const StructRecord* baseline = nullptr;
+  std::optional<std::span<const Pair>> baseline;
   for (size_t i = 0; i < images_.size(); ++i) {
-    const StructRecord* sr = nullptr;
-    if (id != kNoStr) {
-      auto it = images_[i].structs.find(id);
-      if (it != images_[i].structs.end()) {
-        sr = &it->second;
-      }
-    }
+    const StructRecord* sr = FindStruct(i, id);
     if (sr == nullptr) {
       out[i].insert(MismatchKind::kAbsent);
       continue;
     }
-    if (baseline == nullptr) {
-      baseline = sr;
-    } else if (sr->fields != baseline->fields) {
+    std::span<const Pair> fields = Pairs(sr->fields_begin, sr->fields_count);
+    if (!baseline.has_value()) {
+      baseline = fields;
+    } else if (!std::ranges::equal(fields, *baseline)) {
       out[i].insert(MismatchKind::kChanged);
     }
   }
@@ -273,10 +348,9 @@ std::vector<std::set<MismatchKind>> Dataset::CheckField(const std::string& struc
   bool expectation_fixed = !expected_type.empty();
   for (size_t i = 0; i < images_.size(); ++i) {
     const StrId* actual = nullptr;
-    if (sid != kNoStr && fid != kNoStr) {
-      auto it = images_[i].structs.find(sid);
-      if (it != images_[i].structs.end()) {
-        actual = it->second.FindField(fid);
+    if (fid != kNoStr) {
+      if (const StructRecord* sr = FindStruct(i, sid); sr != nullptr) {
+        actual = FindField(*sr, fid);
       }
     }
     if (actual == nullptr) {
@@ -299,21 +373,18 @@ std::vector<std::set<MismatchKind>> Dataset::CheckTracepoint(const std::string& 
   StrId id = Lookup(event);
   const TracepointRecord* baseline = nullptr;
   for (size_t i = 0; i < images_.size(); ++i) {
-    const TracepointRecord* tr = nullptr;
-    if (id != kNoStr) {
-      auto it = images_[i].tracepoints.find(id);
-      if (it != images_[i].tracepoints.end()) {
-        tr = &it->second;
-      }
-    }
+    const TracepointRecord* tr =
+        id == kNoStr ? nullptr : FindByName(images_[i].tracepoints, id);
     if (tr == nullptr) {
       out[i].insert(MismatchKind::kAbsent);
       continue;
     }
     if (baseline == nullptr) {
       baseline = tr;
-    } else if (tr->func_params != baseline->func_params ||
-               tr->event_fields != baseline->event_fields) {
+    } else if (!std::ranges::equal(Pairs(tr->params_begin, tr->params_count),
+                                   Pairs(baseline->params_begin, baseline->params_count)) ||
+               !std::ranges::equal(Pairs(tr->fields_begin, tr->fields_count),
+                                   Pairs(baseline->fields_begin, baseline->fields_count))) {
       out[i].insert(MismatchKind::kChanged);
     }
   }
@@ -324,7 +395,8 @@ std::vector<std::set<MismatchKind>> Dataset::CheckSyscall(const std::string& nam
   std::vector<std::set<MismatchKind>> out(images_.size());
   StrId id = Lookup(name);
   for (size_t i = 0; i < images_.size(); ++i) {
-    if (id == kNoStr || images_[i].syscalls.count(id) == 0) {
+    const std::vector<StrId>& syscalls = images_[i].syscalls;
+    if (id == kNoStr || !std::binary_search(syscalls.begin(), syscalls.end(), id)) {
       out[i].insert(MismatchKind::kAbsent);
     }
     // Compat (32-bit) traceability is a per-image property reported by the
@@ -338,15 +410,11 @@ std::optional<std::string_view> Dataset::FuncDeclAt(const std::string& name,
   if (image_index >= images_.size()) {
     return std::nullopt;
   }
-  StrId id = Lookup(name);
-  if (id == kNoStr) {
+  const FuncRecord* fr = FindFunc(image_index, Lookup(name));
+  if (fr == nullptr || fr->decl == kNoStr) {
     return std::nullopt;
   }
-  auto it = images_[image_index].funcs.find(id);
-  if (it == images_[image_index].funcs.end() || it->second.decl == kNoStr) {
-    return std::nullopt;
-  }
-  return std::string_view(pool_[it->second.decl]);
+  return StringAt(fr->decl);
 }
 
 std::optional<std::string_view> Dataset::FieldTypeAt(const std::string& struct_name,
@@ -355,20 +423,16 @@ std::optional<std::string_view> Dataset::FieldTypeAt(const std::string& struct_n
   if (image_index >= images_.size()) {
     return std::nullopt;
   }
-  StrId sid = Lookup(struct_name);
   StrId fid = Lookup(field_name);
-  if (sid == kNoStr || fid == kNoStr) {
+  const StructRecord* sr = FindStruct(image_index, Lookup(struct_name));
+  if (sr == nullptr || fid == kNoStr) {
     return std::nullopt;
   }
-  auto it = images_[image_index].structs.find(sid);
-  if (it == images_[image_index].structs.end()) {
-    return std::nullopt;
-  }
-  const StrId* type = it->second.FindField(fid);
+  const StrId* type = FindField(*sr, fid);
   if (type == nullptr) {
     return std::nullopt;
   }
-  return std::string_view(pool_[*type]);
+  return StringAt(*type);
 }
 
 SurfaceMeta Dataset::MetaAt(size_t image_index) const {

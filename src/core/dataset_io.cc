@@ -8,50 +8,24 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
-#include <unordered_map>
+#include <span>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "src/util/byte_buffer.h"
+#include "src/util/file_util.h"
 #include "src/util/leb128.h"
 
 namespace depsurf {
 
 namespace {
 
-constexpr uint8_t kFlagExactSymbol = 1 << 0;
-constexpr uint8_t kFlagFullInline = 1 << 1;
-constexpr uint8_t kFlagSelective = 1 << 2;
-constexpr uint8_t kFlagTransformed = 1 << 3;
-constexpr uint8_t kFlagDuplicated = 1 << 4;
-constexpr uint8_t kFlagCollided = 1 << 5;
-constexpr uint8_t kFlagExternal = 1 << 6;
+// Every v1 function entry takes at least this many bytes (name, flags,
+// suffix NUL, hash, decl), which bounds what a count may reserve.
+constexpr size_t kV1MinFuncBytes = 12;
 
-uint8_t PackStatus(const FunctionStatus& status) {
-  uint8_t flags = 0;
-  flags |= status.has_exact_symbol ? kFlagExactSymbol : 0;
-  flags |= status.fully_inlined ? kFlagFullInline : 0;
-  flags |= status.selectively_inlined ? kFlagSelective : 0;
-  flags |= status.transformed ? kFlagTransformed : 0;
-  flags |= status.duplicated ? kFlagDuplicated : 0;
-  flags |= status.collided ? kFlagCollided : 0;
-  flags |= status.external ? kFlagExternal : 0;
-  return flags;
-}
-
-FunctionStatus UnpackStatus(uint8_t flags, std::string suffix) {
-  FunctionStatus status;
-  status.has_exact_symbol = (flags & kFlagExactSymbol) != 0;
-  status.fully_inlined = (flags & kFlagFullInline) != 0;
-  status.selectively_inlined = (flags & kFlagSelective) != 0;
-  status.transformed = (flags & kFlagTransformed) != 0;
-  status.duplicated = (flags & kFlagDuplicated) != 0;
-  status.collided = (flags & kFlagCollided) != 0;
-  status.external = (flags & kFlagExternal) != 0;
-  status.transform_suffix = std::move(suffix);
-  return status;
-}
-
-void WritePairs(ByteWriter& w, const std::vector<std::pair<StrId, StrId>>& pairs) {
+void WritePairs(ByteWriter& w, std::span<const Dataset::Pair> pairs) {
   WriteUleb128(w, pairs.size());
   for (const auto& [a, b] : pairs) {
     WriteUleb128(w, a);
@@ -59,22 +33,50 @@ void WritePairs(ByteWriter& w, const std::vector<std::pair<StrId, StrId>>& pairs
   }
 }
 
-Result<std::vector<std::pair<StrId, StrId>>> ReadPairs(ByteReader& r, size_t max_id) {
+// Appends a v1 pair list to `arena`; the list's begin index in it.
+Result<uint32_t> ReadPairs(ByteReader& r, size_t max_id, std::vector<Dataset::Pair>& arena) {
   DEPSURF_ASSIGN_OR_RETURN(count, ReadUleb128(r));
   if (count > r.remaining()) {
     return Error(ErrorCode::kMalformedData, "pair count beyond buffer");
   }
-  std::vector<std::pair<StrId, StrId>> out;
-  out.reserve(count);
+  uint32_t begin = static_cast<uint32_t>(arena.size());
   for (uint64_t i = 0; i < count; ++i) {
     DEPSURF_ASSIGN_OR_RETURN(a, ReadUleb128(r));
     DEPSURF_ASSIGN_OR_RETURN(b, ReadUleb128(r));
     if (a >= max_id || b >= max_id) {
       return Error(ErrorCode::kMalformedData, "string id out of range");
     }
-    out.emplace_back(static_cast<StrId>(a), static_cast<StrId>(b));
+    arena.emplace_back(static_cast<StrId>(a), static_cast<StrId>(b));
   }
-  return out;
+  return begin;
+}
+
+// The ordering invariants the queries' binary searches rely on. A loader
+// rejects a file that breaks them: a search over such records would answer
+// wrong without any error.
+template <typename Record>
+Status CheckNameOrder(const std::vector<Record>& records, StrId name, const char* what) {
+  if (records.empty()) {
+    return Status::Ok();
+  }
+  StrId previous = 0;
+  if constexpr (std::is_same_v<Record, StrId>) {
+    previous = records.back();
+  } else {
+    previous = records.back().name;
+  }
+  if (name <= previous) {
+    return Status(ErrorCode::kMalformedData,
+                  std::string(what) + " name ids not strictly ascending");
+  }
+  return Status::Ok();
+}
+
+Status CheckFieldOrder(std::span<const Dataset::Pair> fields) {
+  if (!std::is_sorted(fields.begin(), fields.end())) {
+    return Status(ErrorCode::kMalformedData, "struct field pairs not sorted");
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -84,12 +86,10 @@ std::vector<uint8_t> SaveDataset(const Dataset& dataset) {
   w.WriteU32(kDatasetMagic);
   WriteUleb128(w, dataset.pool_size());
   WriteUleb128(w, dataset.num_images());
-  for (size_t i = 0; i < dataset.pool_size(); ++i) {
-    w.WriteCString(dataset.StringAt(static_cast<StrId>(i)));
-  }
-  // Suffix strings are interned too; record a suffix id per function. Any
-  // suffix seen must already be in the pool (AddImage interned names/types
-  // only), so serialize suffixes inline as cstrings instead.
+  // The pool blob is the v1 pool encoding: each string, then a NUL.
+  w.WriteString(dataset.pool().blob());
+  // Suffixes and ledger messages are not in the pool (v1 pool ids must not
+  // depend on them); they are written inline as cstrings.
   for (const ImageRecord& image : dataset.images()) {
     w.WriteCString(image.label);
     w.WriteU16(static_cast<uint16_t>(image.meta.version_major));
@@ -104,24 +104,25 @@ std::vector<uint8_t> SaveDataset(const Dataset& dataset) {
     w.WriteU64(image.pt_regs_hash);
 
     WriteUleb128(w, image.funcs.size());
-    for (const auto& [name, record] : image.funcs) {
-      WriteUleb128(w, name);
-      w.WriteU8(PackStatus(record.status));
-      w.WriteCString(record.status.transform_suffix);
+    for (const FuncRecord& record : image.funcs) {
+      WriteUleb128(w, record.name);
+      w.WriteU8(record.flags);
+      w.WriteCString(record.suffix == Dataset::kNoStr ? std::string_view()
+                                                      : dataset.SuffixAt(record.suffix));
       w.WriteU64(record.decl_hash);
       // kNoStr sentinel encodes as pool_size (never a valid id).
       WriteUleb128(w, record.decl == Dataset::kNoStr ? dataset.pool_size() : record.decl);
     }
     WriteUleb128(w, image.structs.size());
-    for (const auto& [name, record] : image.structs) {
-      WriteUleb128(w, name);
-      WritePairs(w, record.fields);
+    for (const StructRecord& record : image.structs) {
+      WriteUleb128(w, record.name);
+      WritePairs(w, dataset.Pairs(record.fields_begin, record.fields_count));
     }
     WriteUleb128(w, image.tracepoints.size());
-    for (const auto& [name, record] : image.tracepoints) {
-      WriteUleb128(w, name);
-      WritePairs(w, record.func_params);
-      WritePairs(w, record.event_fields);
+    for (const TracepointRecord& record : image.tracepoints) {
+      WriteUleb128(w, record.name);
+      WritePairs(w, dataset.Pairs(record.params_begin, record.params_count));
+      WritePairs(w, dataset.Pairs(record.fields_begin, record.fields_count));
     }
     WriteUleb128(w, image.syscalls.size());
     for (StrId id : image.syscalls) {
@@ -161,8 +162,9 @@ Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes) {
     return Error(ErrorCode::kMalformedData, "counts beyond buffer");
   }
   Dataset dataset;
+  dataset.pool_.Reserve(std::min<uint64_t>(num_strings, r.remaining()), 0);
   for (uint64_t i = 0; i < num_strings; ++i) {
-    DEPSURF_ASSIGN_OR_RETURN(s, r.ReadCString());
+    DEPSURF_ASSIGN_OR_RETURN(s, r.ReadCStringView());
     // Fresh interning assigns sequential ids, so saved ids stay valid.
     StrId id = dataset.Intern(s);
     if (id != i) {
@@ -200,23 +202,27 @@ Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes) {
     if (num_funcs > r.remaining()) {
       return Error(ErrorCode::kMalformedData, "function count beyond buffer");
     }
+    image.funcs.reserve(std::min<uint64_t>(num_funcs, r.remaining() / kV1MinFuncBytes));
     for (uint64_t i = 0; i < num_funcs; ++i) {
       DEPSURF_ASSIGN_OR_RETURN(name, ReadUleb128(r));
       if (name >= num_strings) {
         return Error(ErrorCode::kMalformedData, "function name id out of range");
       }
       DEPSURF_ASSIGN_OR_RETURN(flags, r.ReadU8());
-      DEPSURF_ASSIGN_OR_RETURN(suffix, r.ReadCString());
+      DEPSURF_ASSIGN_OR_RETURN(suffix, r.ReadCStringView());
       DEPSURF_ASSIGN_OR_RETURN(decl_hash, r.ReadU64());
       DEPSURF_ASSIGN_OR_RETURN(decl, ReadUleb128(r));
       if (decl > num_strings) {
         return Error(ErrorCode::kMalformedData, "decl id out of range");
       }
       FuncRecord record;
-      record.status = UnpackStatus(flags, std::move(suffix));
+      record.name = static_cast<StrId>(name);
+      record.flags = flags & kFuncFlagMask;
+      record.suffix = suffix.empty() ? Dataset::kNoStr : dataset.suffixes_.Intern(suffix);
       record.decl_hash = decl_hash;
       record.decl = decl == num_strings ? Dataset::kNoStr : static_cast<StrId>(decl);
-      image.funcs.emplace(static_cast<StrId>(name), std::move(record));
+      DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.funcs, record.name, "function"));
+      image.funcs.push_back(record);
     }
     DEPSURF_ASSIGN_OR_RETURN(num_structs, ReadUleb128(r));
     if (num_structs > r.remaining()) {
@@ -228,9 +234,14 @@ Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes) {
         return Error(ErrorCode::kMalformedData, "struct name id out of range");
       }
       StructRecord record;
-      DEPSURF_ASSIGN_OR_RETURN(fields, ReadPairs(r, num_strings));
-      record.fields = std::move(fields);
-      image.structs.emplace(static_cast<StrId>(name), std::move(record));
+      record.name = static_cast<StrId>(name);
+      DEPSURF_ASSIGN_OR_RETURN(fields_begin, ReadPairs(r, num_strings, dataset.pairs_));
+      record.fields_begin = fields_begin;
+      record.fields_count = static_cast<uint32_t>(dataset.pairs_.size() - fields_begin);
+      DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.structs, record.name, "struct"));
+      DEPSURF_RETURN_IF_ERROR(
+          CheckFieldOrder(dataset.Pairs(record.fields_begin, record.fields_count)));
+      image.structs.push_back(record);
     }
     DEPSURF_ASSIGN_OR_RETURN(num_tracepoints, ReadUleb128(r));
     if (num_tracepoints > r.remaining()) {
@@ -242,11 +253,15 @@ Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes) {
         return Error(ErrorCode::kMalformedData, "tracepoint name id out of range");
       }
       TracepointRecord record;
-      DEPSURF_ASSIGN_OR_RETURN(params, ReadPairs(r, num_strings));
-      record.func_params = std::move(params);
-      DEPSURF_ASSIGN_OR_RETURN(fields, ReadPairs(r, num_strings));
-      record.event_fields = std::move(fields);
-      image.tracepoints.emplace(static_cast<StrId>(name), std::move(record));
+      record.name = static_cast<StrId>(name);
+      DEPSURF_ASSIGN_OR_RETURN(params_begin, ReadPairs(r, num_strings, dataset.pairs_));
+      record.params_begin = params_begin;
+      record.params_count = static_cast<uint32_t>(dataset.pairs_.size() - params_begin);
+      DEPSURF_ASSIGN_OR_RETURN(fields_begin, ReadPairs(r, num_strings, dataset.pairs_));
+      record.fields_begin = fields_begin;
+      record.fields_count = static_cast<uint32_t>(dataset.pairs_.size() - fields_begin);
+      DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.tracepoints, record.name, "tracepoint"));
+      image.tracepoints.push_back(record);
     }
     DEPSURF_ASSIGN_OR_RETURN(num_syscalls, ReadUleb128(r));
     if (num_syscalls > r.remaining()) {
@@ -257,7 +272,8 @@ Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes) {
       if (id >= num_strings) {
         return Error(ErrorCode::kMalformedData, "syscall id out of range");
       }
-      image.syscalls.insert(static_cast<StrId>(id));
+      DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.syscalls, static_cast<StrId>(id), "syscall"));
+      image.syscalls.push_back(static_cast<StrId>(id));
     }
 
     auto read_state = [&r]() -> Result<DegradationState> {
@@ -308,7 +324,7 @@ Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes) {
                                 static_cast<ErrorCode>(code), std::move(message));
       }
     }
-    dataset.RestoreImage(std::move(image));
+    dataset.images_.push_back(std::move(image));
   }
   return dataset;
 }
@@ -380,26 +396,20 @@ SurfaceHealth HealthFromHeader(const uint8_t* img) {
 }  // namespace
 
 std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
-  // v2 pool = the v1 pool with every id preserved, then transform suffixes
-  // and diagnostic messages appended in first-use order. Keeping v1 ids
-  // intact is what makes `dataset migrate` byte-deterministic and lets the
-  // two formats share query semantics (ids compare within the same pool).
-  std::vector<std::string> pool;
-  std::unordered_map<std::string, uint32_t> index;
-  pool.reserve(dataset.pool_size());
-  for (size_t i = 0; i < dataset.pool_size(); ++i) {
-    pool.push_back(dataset.StringAt(static_cast<StrId>(i)));
-    index.emplace(pool.back(), static_cast<uint32_t>(i));
-  }
-  auto intern = [&pool, &index](const std::string& s) -> uint32_t {
-    auto it = index.find(s);
-    if (it != index.end()) {
-      return it->second;
-    }
-    uint32_t id = static_cast<uint32_t>(pool.size());
-    pool.push_back(s);
-    index.emplace(s, id);
-    return id;
+  // v2 pool = the v1 pool with every id preserved, then transform suffixes,
+  // diagnostic messages and image strings the pool lacks, appended in
+  // first-use order. Keeping v1 ids intact is what makes `dataset migrate`
+  // byte-deterministic and lets the two formats share query semantics (ids
+  // compare within the same pool).
+  const StringPool& pool = dataset.pool();
+  const uint32_t pool_size = static_cast<uint32_t>(pool.size());
+  StringPool appended;
+  auto intern = [&](std::string_view s) -> uint32_t {
+    StrId id = pool.Lookup(s);
+    return id != Dataset::kNoStr ? id : pool_size + appended.Intern(s);
+  };
+  auto string_at = [&](uint32_t id) {
+    return id < pool_size ? pool.At(id) : appended.At(id - pool_size);
   };
 
   ByteWriter images_w(Endian::kLittle);
@@ -415,45 +425,44 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   uint32_t sys_cursor = 0;
   uint32_t pair_cursor = 0;
   uint32_t diag_cursor = 0;
-  auto write_pairs = [&pairs_w, &pair_cursor](const std::vector<std::pair<StrId, StrId>>& pairs) {
-    uint32_t begin = pair_cursor;
-    for (const auto& [a, b] : pairs) {
+  auto write_pairs = [&](uint32_t begin, uint32_t count) {
+    uint32_t at = pair_cursor;
+    for (const auto& [a, b] : dataset.Pairs(begin, count)) {
       pairs_w.WriteU32(a);
       pairs_w.WriteU32(b);
     }
-    pair_cursor += static_cast<uint32_t>(pairs.size());
-    return begin;
+    pair_cursor += count;
+    return at;
   };
 
   for (const ImageRecord& image : dataset.images()) {
     uint32_t func_begin = func_cursor;
-    // std::map iteration is ascending by name id: exactly the order the
+    // Records are kept ascending by name id: exactly the order the
     // mmap-side binary search requires.
-    for (const auto& [name, record] : image.funcs) {
-      funcs_w.WriteU32(name);
+    for (const FuncRecord& record : image.funcs) {
+      funcs_w.WriteU32(record.name);
       funcs_w.WriteU32(record.decl);  // Dataset::kNoStr doubles as "no decl"
       funcs_w.WriteU64(record.decl_hash);
-      funcs_w.WriteU32(record.status.transform_suffix.empty()
-                           ? Dataset::kNoStr
-                           : intern(record.status.transform_suffix));
-      funcs_w.WriteU8(PackStatus(record.status));
+      funcs_w.WriteU32(record.suffix == Dataset::kNoStr ? Dataset::kNoStr
+                                                        : intern(dataset.SuffixAt(record.suffix)));
+      funcs_w.WriteU8(record.flags);
       funcs_w.WriteZeros(3);
       ++func_cursor;
     }
     uint32_t struct_begin = struct_cursor;
-    for (const auto& [name, record] : image.structs) {
-      structs_w.WriteU32(name);
-      structs_w.WriteU32(write_pairs(record.fields));
-      structs_w.WriteU32(static_cast<uint32_t>(record.fields.size()));
+    for (const StructRecord& record : image.structs) {
+      structs_w.WriteU32(record.name);
+      structs_w.WriteU32(write_pairs(record.fields_begin, record.fields_count));
+      structs_w.WriteU32(record.fields_count);
       ++struct_cursor;
     }
     uint32_t tp_begin = tp_cursor;
-    for (const auto& [name, record] : image.tracepoints) {
-      tps_w.WriteU32(name);
-      tps_w.WriteU32(write_pairs(record.func_params));
-      tps_w.WriteU32(static_cast<uint32_t>(record.func_params.size()));
-      tps_w.WriteU32(write_pairs(record.event_fields));
-      tps_w.WriteU32(static_cast<uint32_t>(record.event_fields.size()));
+    for (const TracepointRecord& record : image.tracepoints) {
+      tps_w.WriteU32(record.name);
+      tps_w.WriteU32(write_pairs(record.params_begin, record.params_count));
+      tps_w.WriteU32(record.params_count);
+      tps_w.WriteU32(write_pairs(record.fields_begin, record.fields_count));
+      tps_w.WriteU32(record.fields_count);
       ++tp_cursor;
     }
     uint32_t sys_begin = sys_cursor;
@@ -503,22 +512,28 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   }
 
   // String table: cumulative offsets + NUL-terminated blob + sorted index.
+  // Both pools keep that layout, so their blobs and offsets go out as is.
+  const uint32_t string_count = pool_size + static_cast<uint32_t>(appended.size());
   ByteWriter str_offsets_w(Endian::kLittle);
   ByteWriter str_blob_w(Endian::kLittle);
   ByteWriter str_sorted_w(Endian::kLittle);
-  uint64_t blob_cursor = 0;
-  for (const std::string& s : pool) {
-    str_offsets_w.WriteU64(blob_cursor);
-    str_blob_w.WriteCString(s);
-    blob_cursor += s.size() + 1;
+  str_offsets_w.Reserve((static_cast<size_t>(string_count) + 1) * 8);
+  for (uint32_t i = 0; i < pool_size; ++i) {
+    str_offsets_w.WriteU64(pool.offsets()[i]);
   }
-  str_offsets_w.WriteU64(blob_cursor);
-  std::vector<uint32_t> sorted_ids(pool.size());
-  for (uint32_t i = 0; i < sorted_ids.size(); ++i) {
+  for (uint64_t offset : appended.offsets()) {
+    str_offsets_w.WriteU64(pool.blob().size() + offset);
+  }
+  str_blob_w.Reserve(pool.blob().size() + appended.blob().size());
+  str_blob_w.WriteString(pool.blob());
+  str_blob_w.WriteString(appended.blob());
+  std::vector<uint32_t> sorted_ids(string_count);
+  for (uint32_t i = 0; i < string_count; ++i) {
     sorted_ids[i] = i;
   }
   std::sort(sorted_ids.begin(), sorted_ids.end(),
-            [&pool](uint32_t a, uint32_t b) { return pool[a] < pool[b]; });
+            [&string_at](uint32_t a, uint32_t b) { return string_at(a) < string_at(b); });
+  str_sorted_w.Reserve(static_cast<size_t>(string_count) * 4);
   for (uint32_t id : sorted_ids) {
     str_sorted_w.WriteU32(id);
   }
@@ -549,13 +564,14 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   uint64_t file_size = cursor;
 
   ByteWriter out(Endian::kLittle);
+  out.Reserve(file_size);
   out.WriteU32(kDatasetMagicV2);
   out.WriteU32(2);  // version
   out.WriteU32(kDatasetV2PageSize);
   out.WriteU32(kV2SectionCount);
   out.WriteU64(file_size);
   out.WriteU32(static_cast<uint32_t>(dataset.num_images()));
-  out.WriteU32(static_cast<uint32_t>(pool.size()));
+  out.WriteU32(string_count);
   out.WriteU64(0);  // reserved
   for (const SectionPayload& payload : payloads) {
     out.WriteU32(payload.kind);
@@ -593,9 +609,16 @@ Result<Dataset> LoadAnyDataset(const std::vector<uint8_t>& bytes) {
 // MmapDataset
 // ---------------------------------------------------------------------------
 
-Status MmapDataset::Attach(const uint8_t* data, size_t size) {
-  data_ = data;
-  size_ = size;
+namespace {
+
+// The header and section table of a v2 buffer, validated.
+struct V2Header {
+  uint32_t image_count = 0;
+  uint32_t string_count = 0;
+  std::pair<uint64_t, uint64_t> sections[kV2SectionCount + 1];  // (offset, size) by kind
+};
+
+Status ParseV2Header(const uint8_t* data, size_t size, V2Header* header) {
   if (size < kV2HeaderSize) {
     return Status(ErrorCode::kMalformedData, "v2 dataset shorter than its header");
   }
@@ -616,13 +639,13 @@ Status MmapDataset::Attach(const uint8_t* data, size_t size) {
   if (LoadU64(data + 16) != size) {
     return Status(ErrorCode::kMalformedData, "v2 dataset truncated (recorded size mismatch)");
   }
-  image_count_ = LoadU32(data + 24);
-  string_count_ = LoadU32(data + 28);
+  header->image_count = LoadU32(data + 24);
+  header->string_count = LoadU32(data + 28);
   size_t table_end = kV2HeaderSize + kV2SectionCount * kV2SectionEntrySize;
   if (table_end > size) {
     return Status(ErrorCode::kMalformedData, "v2 section table beyond buffer");
   }
-  sections_.assign(kV2SectionCount + 1, Section{});
+  auto& sections = header->sections;
   for (uint32_t i = 0; i < kV2SectionCount; ++i) {
     const uint8_t* entry = data + kV2HeaderSize + i * kV2SectionEntrySize;
     uint32_t kind = LoadU32(entry);
@@ -634,27 +657,44 @@ Status MmapDataset::Attach(const uint8_t* data, size_t size) {
     if (offset > size || sec_size > size - offset) {
       return Status(ErrorCode::kMalformedData, "v2 section beyond buffer");
     }
-    sections_[kind] = Section{offset, sec_size};
+    sections[kind] = {offset, sec_size};
   }
   // Structural invariants between counts and section sizes; everything past
   // this point is lazily bounds-checked per access instead.
-  if (string_count_ >= Dataset::kNoStr ||
-      sections_[kSecStringOffsets].size != (static_cast<uint64_t>(string_count_) + 1) * 8) {
+  if (header->string_count >= Dataset::kNoStr ||
+      sections[kSecStringOffsets].second !=
+          (static_cast<uint64_t>(header->string_count) + 1) * 8) {
     return Status(ErrorCode::kMalformedData, "v2 string offset table size mismatch");
   }
-  if (sections_[kSecStringSorted].size != static_cast<uint64_t>(string_count_) * 4) {
+  if (sections[kSecStringSorted].second != static_cast<uint64_t>(header->string_count) * 4) {
     return Status(ErrorCode::kMalformedData, "v2 sorted string index size mismatch");
   }
-  if (sections_[kSecImages].size !=
-      static_cast<uint64_t>(image_count_) * kV2ImageHeaderSize) {
+  if (sections[kSecImages].second !=
+      static_cast<uint64_t>(header->image_count) * kV2ImageHeaderSize) {
     return Status(ErrorCode::kMalformedData, "v2 image section size mismatch");
   }
-  if (sections_[kSecFuncs].size % kV2FuncEntrySize != 0 ||
-      sections_[kSecStructs].size % kV2StructEntrySize != 0 ||
-      sections_[kSecTracepoints].size % kV2TracepointEntrySize != 0 ||
-      sections_[kSecSyscalls].size % 4 != 0 || sections_[kSecPairs].size % kV2PairSize != 0 ||
-      sections_[kSecDiags].size % kV2DiagEntrySize != 0) {
+  if (sections[kSecFuncs].second % kV2FuncEntrySize != 0 ||
+      sections[kSecStructs].second % kV2StructEntrySize != 0 ||
+      sections[kSecTracepoints].second % kV2TracepointEntrySize != 0 ||
+      sections[kSecSyscalls].second % 4 != 0 || sections[kSecPairs].second % kV2PairSize != 0 ||
+      sections[kSecDiags].second % kV2DiagEntrySize != 0) {
     return Status(ErrorCode::kMalformedData, "v2 record section size not entry-aligned");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Status MmapDataset::Attach(const uint8_t* data, size_t size) {
+  data_ = data;
+  size_ = size;
+  V2Header header;
+  DEPSURF_RETURN_IF_ERROR(ParseV2Header(data, size, &header));
+  image_count_ = header.image_count;
+  string_count_ = header.string_count;
+  sections_.assign(kV2SectionCount + 1, Section{});
+  for (uint32_t kind = 1; kind <= kV2SectionCount; ++kind) {
+    sections_[kind] = Section{header.sections[kind].first, header.sections[kind].second};
   }
   return Status::Ok();
 }
@@ -874,19 +914,19 @@ std::vector<std::set<MismatchKind>> MmapDataset::CheckFunc(const std::string& na
       out[i].insert(MismatchKind::kChanged);
     }
     uint8_t flags = entry[20];
-    if ((flags & kFlagFullInline) != 0) {
+    if ((flags & kFuncFullInline) != 0) {
       out[i].insert(MismatchKind::kFullInline);
     }
-    if ((flags & kFlagSelective) != 0) {
+    if ((flags & kFuncSelectiveInline) != 0) {
       out[i].insert(MismatchKind::kSelectiveInline);
     }
-    if ((flags & kFlagTransformed) != 0) {
+    if ((flags & kFuncTransformed) != 0) {
       out[i].insert(MismatchKind::kTransformed);
     }
-    if ((flags & kFlagDuplicated) != 0) {
+    if ((flags & kFuncDuplicated) != 0) {
       out[i].insert(MismatchKind::kDuplicated);
     }
-    if ((flags & kFlagCollided) != 0) {
+    if ((flags & kFuncCollided) != 0) {
       out[i].insert(MismatchKind::kCollision);
     }
   }
@@ -1135,50 +1175,50 @@ std::optional<std::string_view> MmapDataset::FieldTypeAt(const std::string& stru
 // ---------------------------------------------------------------------------
 
 Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
-  DEPSURF_ASSIGN_OR_RETURN(view, MmapDataset::FromBytes(bytes));
-  uint32_t num_strings = view.string_count();
+  V2Header header;
+  DEPSURF_RETURN_IF_ERROR(ParseV2Header(bytes.data(), bytes.size(), &header));
+  const uint8_t* data = bytes.data();
+  const uint32_t num_strings = header.string_count;
+  auto [offsets_off, offsets_size] = header.sections[kSecStringOffsets];
+  auto [blob_off, blob_size] = header.sections[kSecStringBlob];
   Dataset dataset;
+  dataset.pool_.Reserve(num_strings, blob_size);
   for (uint32_t i = 0; i < num_strings; ++i) {
-    std::optional<std::string_view> s = view.StringViewAt(i);
-    if (!s.has_value()) {
+    uint64_t begin = LoadU64(data + offsets_off + static_cast<uint64_t>(i) * 8);
+    uint64_t end = LoadU64(data + offsets_off + (static_cast<uint64_t>(i) + 1) * 8);
+    if (begin >= end || end > blob_size || data[blob_off + end - 1] != '\0') {
       return Error(ErrorCode::kMalformedData, "v2 string table entry corrupt");
     }
-    StrId id = dataset.Intern(std::string(*s));
-    if (id != i) {
+    std::string_view s(reinterpret_cast<const char*>(data + blob_off + begin), end - begin - 1);
+    if (dataset.Intern(s) != i) {
       return Error(ErrorCode::kMalformedData, "duplicate string in pool");
     }
   }
   dataset.FlushInternMetrics();
 
-  // Strict re-walk of the raw sections (the lazy accessors above degrade on
-  // corruption; a full parse must reject it instead).
-  const uint8_t* data = bytes.data();
-  const uint8_t* table = data + kV2HeaderSize;
-  auto section = [&](uint32_t kind) {
-    const uint8_t* entry = table + (kind - 1) * kV2SectionEntrySize;
-    return std::make_pair(LoadU64(entry + 8), LoadU64(entry + 16));
-  };
-  auto [funcs_off, funcs_size] = section(kSecFuncs);
-  auto [structs_off, structs_size] = section(kSecStructs);
-  auto [tps_off, tps_size] = section(kSecTracepoints);
-  auto [sys_off, sys_size] = section(kSecSyscalls);
-  auto [pairs_off, pairs_size] = section(kSecPairs);
-  auto [diags_off, diags_size] = section(kSecDiags);
-  uint64_t pair_entries = pairs_size / kV2PairSize;
-  auto read_pairs = [&](uint32_t begin, uint32_t count,
-                        std::vector<std::pair<StrId, StrId>>* out) -> Status {
+  // Strict walk of the raw sections (the lazy mmap accessors degrade on
+  // corruption; a full parse must reject it instead). The pair section is
+  // copied whole, so records keep their file ranges into it.
+  auto [funcs_off, funcs_size] = header.sections[kSecFuncs];
+  auto [structs_off, structs_size] = header.sections[kSecStructs];
+  auto [tps_off, tps_size] = header.sections[kSecTracepoints];
+  auto [sys_off, sys_size] = header.sections[kSecSyscalls];
+  auto [pairs_off, pairs_size] = header.sections[kSecPairs];
+  auto [diags_off, diags_size] = header.sections[kSecDiags];
+  const uint64_t pair_entries = pairs_size / kV2PairSize;
+  dataset.pairs_.resize(pair_entries);
+  for (uint64_t i = 0; i < pair_entries; ++i) {
+    const uint8_t* p = data + pairs_off + i * kV2PairSize;
+    dataset.pairs_[i] = {LoadU32(p), LoadU32(p + 4)};
+  }
+  auto check_pairs = [&](uint32_t begin, uint32_t count) -> Status {
     if (begin > pair_entries || count > pair_entries - begin) {
       return Status(ErrorCode::kMalformedData, "v2 pair range beyond section");
     }
-    out->reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      const uint8_t* p = data + pairs_off + (static_cast<uint64_t>(begin) + i) * kV2PairSize;
-      uint32_t a = LoadU32(p);
-      uint32_t b = LoadU32(p + 4);
+    for (const auto& [a, b] : dataset.Pairs(begin, count)) {
       if (a >= num_strings || b >= num_strings) {
         return Status(ErrorCode::kMalformedData, "string id out of range");
       }
-      out->emplace_back(a, b);
     }
     return Status::Ok();
   };
@@ -1190,17 +1230,18 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     }
     return Status::Ok();
   };
+  auto required_string = [&](uint32_t id, const char* what) -> Result<std::string> {
+    if (id >= num_strings) {
+      return Error(ErrorCode::kMalformedData, std::string("v2 ") + what + " id out of range");
+    }
+    return std::string(dataset.StringAt(id));
+  };
 
-  for (uint32_t image_index = 0; image_index < view.num_images(); ++image_index) {
-    const uint8_t* img =
-        data + section(kSecImages).first + static_cast<uint64_t>(image_index) * kV2ImageHeaderSize;
+  dataset.images_.reserve(header.image_count);
+  for (uint32_t image_index = 0; image_index < header.image_count; ++image_index) {
+    const uint8_t* img = data + header.sections[kSecImages].first +
+                         static_cast<uint64_t>(image_index) * kV2ImageHeaderSize;
     ImageRecord image;
-    auto required_string = [&](uint32_t id, const char* what) -> Result<std::string> {
-      if (id >= num_strings) {
-        return Error(ErrorCode::kMalformedData, std::string("v2 ") + what + " id out of range");
-      }
-      return dataset.StringAt(id);
-    };
     DEPSURF_ASSIGN_OR_RETURN(label, required_string(LoadU32(img), "label"));
     image.label = std::move(label);
     DEPSURF_ASSIGN_OR_RETURN(flavor, required_string(LoadU32(img + 4), "flavor"));
@@ -1231,72 +1272,88 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     uint32_t func_count = LoadU32(img + kImgFuncRange + 4);
     DEPSURF_RETURN_IF_ERROR(
         check_range(func_begin, func_count, funcs_size / kV2FuncEntrySize, "function"));
+    image.funcs.reserve(func_count);
     for (uint32_t i = 0; i < func_count; ++i) {
       const uint8_t* e =
           data + funcs_off + (static_cast<uint64_t>(func_begin) + i) * kV2FuncEntrySize;
-      uint32_t name = LoadU32(e);
-      if (name >= num_strings) {
+      FuncRecord record;
+      record.name = LoadU32(e);
+      if (record.name >= num_strings) {
         return Error(ErrorCode::kMalformedData, "function name id out of range");
       }
-      uint32_t decl = LoadU32(e + 4);
-      if (decl != Dataset::kNoStr && decl >= num_strings) {
+      record.decl = LoadU32(e + 4);
+      if (record.decl != Dataset::kNoStr && record.decl >= num_strings) {
         return Error(ErrorCode::kMalformedData, "decl id out of range");
       }
       uint32_t suffix = LoadU32(e + 16);
       if (suffix != Dataset::kNoStr && suffix >= num_strings) {
         return Error(ErrorCode::kMalformedData, "suffix id out of range");
       }
-      FuncRecord record;
-      record.status = UnpackStatus(
-          e[20], suffix == Dataset::kNoStr ? std::string() : dataset.StringAt(suffix));
+      if (suffix != Dataset::kNoStr && !dataset.StringAt(suffix).empty()) {
+        record.suffix = dataset.suffixes_.Intern(dataset.StringAt(suffix));
+      }
       record.decl_hash = LoadU64(e + 8);
-      record.decl = decl;
-      image.funcs.emplace(static_cast<StrId>(name), std::move(record));
+      record.flags = e[20] & kFuncFlagMask;
+      DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.funcs, record.name, "function"));
+      image.funcs.push_back(record);
     }
 
     uint32_t struct_begin = LoadU32(img + kImgStructRange);
     uint32_t struct_count = LoadU32(img + kImgStructRange + 4);
     DEPSURF_RETURN_IF_ERROR(
         check_range(struct_begin, struct_count, structs_size / kV2StructEntrySize, "struct"));
+    image.structs.reserve(struct_count);
     for (uint32_t i = 0; i < struct_count; ++i) {
       const uint8_t* e =
           data + structs_off + (static_cast<uint64_t>(struct_begin) + i) * kV2StructEntrySize;
-      uint32_t name = LoadU32(e);
-      if (name >= num_strings) {
+      StructRecord record;
+      record.name = LoadU32(e);
+      if (record.name >= num_strings) {
         return Error(ErrorCode::kMalformedData, "struct name id out of range");
       }
-      StructRecord record;
-      DEPSURF_RETURN_IF_ERROR(read_pairs(LoadU32(e + 4), LoadU32(e + 8), &record.fields));
-      image.structs.emplace(static_cast<StrId>(name), std::move(record));
+      record.fields_begin = LoadU32(e + 4);
+      record.fields_count = LoadU32(e + 8);
+      DEPSURF_RETURN_IF_ERROR(check_pairs(record.fields_begin, record.fields_count));
+      DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.structs, record.name, "struct"));
+      DEPSURF_RETURN_IF_ERROR(
+          CheckFieldOrder(dataset.Pairs(record.fields_begin, record.fields_count)));
+      image.structs.push_back(record);
     }
 
     uint32_t tp_begin = LoadU32(img + kImgTracepointRange);
     uint32_t tp_count = LoadU32(img + kImgTracepointRange + 4);
     DEPSURF_RETURN_IF_ERROR(
         check_range(tp_begin, tp_count, tps_size / kV2TracepointEntrySize, "tracepoint"));
+    image.tracepoints.reserve(tp_count);
     for (uint32_t i = 0; i < tp_count; ++i) {
       const uint8_t* e =
           data + tps_off + (static_cast<uint64_t>(tp_begin) + i) * kV2TracepointEntrySize;
-      uint32_t name = LoadU32(e);
-      if (name >= num_strings) {
+      TracepointRecord record;
+      record.name = LoadU32(e);
+      if (record.name >= num_strings) {
         return Error(ErrorCode::kMalformedData, "tracepoint name id out of range");
       }
-      TracepointRecord record;
-      DEPSURF_RETURN_IF_ERROR(read_pairs(LoadU32(e + 4), LoadU32(e + 8), &record.func_params));
-      DEPSURF_RETURN_IF_ERROR(
-          read_pairs(LoadU32(e + 12), LoadU32(e + 16), &record.event_fields));
-      image.tracepoints.emplace(static_cast<StrId>(name), std::move(record));
+      record.params_begin = LoadU32(e + 4);
+      record.params_count = LoadU32(e + 8);
+      record.fields_begin = LoadU32(e + 12);
+      record.fields_count = LoadU32(e + 16);
+      DEPSURF_RETURN_IF_ERROR(check_pairs(record.params_begin, record.params_count));
+      DEPSURF_RETURN_IF_ERROR(check_pairs(record.fields_begin, record.fields_count));
+      DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.tracepoints, record.name, "tracepoint"));
+      image.tracepoints.push_back(record);
     }
 
     uint32_t sys_begin = LoadU32(img + kImgSyscallRange);
     uint32_t sys_count = LoadU32(img + kImgSyscallRange + 4);
     DEPSURF_RETURN_IF_ERROR(check_range(sys_begin, sys_count, sys_size / 4, "syscall"));
+    image.syscalls.reserve(sys_count);
     for (uint32_t i = 0; i < sys_count; ++i) {
       uint32_t id = LoadU32(data + sys_off + (static_cast<uint64_t>(sys_begin) + i) * 4);
       if (id >= num_strings) {
         return Error(ErrorCode::kMalformedData, "syscall id out of range");
       }
-      image.syscalls.insert(static_cast<StrId>(id));
+      DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.syscalls, id, "syscall"));
+      image.syscalls.push_back(id);
     }
 
     uint32_t diag_begin = LoadU32(img + kImgDiagRange);
@@ -1322,18 +1379,18 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
       if (code > static_cast<uint8_t>(ErrorCode::kIoError)) {
         return Error(ErrorCode::kMalformedData, "bad diagnostic error code");
       }
+      std::string text(dataset.StringAt(message));
       if (e[7] != 0) {
         image.health.ledger.AddAt(static_cast<DiagSeverity>(severity),
                                   static_cast<DiagSubsystem>(subsystem),
-                                  static_cast<ErrorCode>(code), LoadU64(e + 8),
-                                  dataset.StringAt(message));
+                                  static_cast<ErrorCode>(code), LoadU64(e + 8), std::move(text));
       } else {
         image.health.ledger.Add(static_cast<DiagSeverity>(severity),
                                 static_cast<DiagSubsystem>(subsystem),
-                                static_cast<ErrorCode>(code), dataset.StringAt(message));
+                                static_cast<ErrorCode>(code), std::move(text));
       }
     }
-    dataset.RestoreImage(std::move(image));
+    dataset.images_.push_back(std::move(image));
   }
   return dataset;
 }
@@ -1361,14 +1418,8 @@ Result<OpenedDataset> OpenDatasetView(const std::string& path) {
   if (magic != kDatasetMagic) {
     return Error(ErrorCode::kMalformedData, path + ": not a depsurf dataset (bad magic)");
   }
-  in.seekg(0, std::ios::end);
-  std::streamoff len = in.tellg();
-  in.seekg(0, std::ios::beg);
-  std::vector<uint8_t> bytes(static_cast<size_t>(len));
-  in.read(reinterpret_cast<char*>(bytes.data()), len);
-  if (!in) {
-    return Error(ErrorCode::kIoError, "short read on " + path);
-  }
+  in.close();
+  DEPSURF_ASSIGN_OR_RETURN(bytes, ReadFileBytes(path));
   DEPSURF_ASSIGN_OR_RETURN(dataset, LoadDataset(bytes));
   opened.format = 1;
   opened.images = dataset.num_images();

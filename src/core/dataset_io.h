@@ -33,7 +33,8 @@ inline constexpr uint32_t kDatasetV2PageSize = 4096;
 // Compact binary encoding (string pool + per-image records).
 std::vector<uint8_t> SaveDataset(const Dataset& dataset);
 
-// Parses a v1 dataset file; validates the magic, bounds, and string ids.
+// Parses a v1 dataset file; validates the magic, bounds, string ids, and
+// the record order the queries' binary searches rely on (docs/FORMATS.md §6).
 Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes);
 
 // Emits the mmap-friendly v2 layout. The v2 string pool preserves every v1
@@ -42,7 +43,8 @@ Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes);
 std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset);
 
 // Full strict parse of a v2 buffer into an in-memory Dataset (the path for
-// `dataset info` and other whole-file consumers; servers use MmapDataset).
+// `dataset info`, `analyze`/`fix --against` and other whole-file consumers;
+// servers use MmapDataset). Rejects what LoadDataset rejects.
 Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes);
 
 // Dispatches on the magic; accepts v1 and v2 buffers.

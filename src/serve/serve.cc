@@ -15,6 +15,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/run_report.h"
 #include "src/obs/span.h"
+#include "src/util/file_util.h"
 #include "src/util/prng.h"
 #include "src/util/str_util.h"
 
@@ -115,13 +116,12 @@ ServeEngine::ParsedRequest ServeEngine::ParseRequest(const std::string& line) co
       out.error = "object must be a file path string";
       return out;
     }
-    std::ifstream in(object->string, std::ios::binary);
-    if (!in) {
+    Result<std::vector<uint8_t>> read = ReadFileBytes(object->string);
+    if (!read.ok()) {
       out.error = "cannot read object file: " + object->string;
       return out;
     }
-    std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                               std::istreambuf_iterator<char>());
+    std::vector<uint8_t> bytes = read.TakeValue();
     // Admission key: the object's content hash, not its path — re-uploads
     // of the same bytes hit regardless of filename.
     out.key = HashCombine(

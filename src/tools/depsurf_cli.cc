@@ -52,6 +52,7 @@
 #include "src/obs/trace_export.h"
 #include "src/serve/serve.h"
 #include "src/study/study.h"
+#include "src/util/file_util.h"
 #include "src/util/str_util.h"
 
 using namespace depsurf;
@@ -165,18 +166,8 @@ Result<Arg> ParseValue(Kind kind, const std::string& text) {
 
 // ---- Files ---------------------------------------------------------------
 
-Result<std::vector<uint8_t>> ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Error(ErrorCode::kIoError, "cannot open " + path);
-  }
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  return bytes;
-}
-
 Result<std::string> ReadTextFile(const std::string& path) {
-  auto bytes = ReadFile(path);
+  auto bytes = ReadFileBytes(path);
   if (!bytes.ok()) {
     return bytes.TakeError();
   }
@@ -219,7 +210,7 @@ Status LoadAgainstDatasets(const Args& args, std::vector<Dataset>& datasets,
   std::vector<std::string> paths = SplitList(args.Text("against"));
   datasets.reserve(paths.size());
   for (const std::string& path : paths) {
-    auto bytes = ReadFile(path);
+    auto bytes = ReadFileBytes(path);
     if (!bytes.ok()) {
       return bytes.TakeError();
     }
@@ -290,7 +281,7 @@ int CmdGen(const Args& args) {
 }
 
 int CmdSurface(const Args& args) {
-  auto bytes = ReadFile(args.pos[0]);
+  auto bytes = ReadFileBytes(args.pos[0]);
   if (!bytes.ok()) {
     return DiagError(bytes.error().ToString());
   }
@@ -360,7 +351,7 @@ int CmdSurface(const Args& args) {
 // prints the metrics the pipeline collected along the way. The JSON form is
 // the same document --metrics-out writes.
 int CmdStats(const Args& args) {
-  auto bytes = ReadFile(args.pos[0]);
+  auto bytes = ReadFileBytes(args.pos[0]);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
@@ -415,7 +406,7 @@ std::string DiagnosticsDocJson(const std::string& image, const SurfaceHealth& he
 // 0 clean, 2 salvaged (degraded subsystems), 1 unreadable container.
 int CmdDoctor(const Args& args) {
   const std::string& image = args.pos[0];
-  auto bytes = ReadFile(image);
+  auto bytes = ReadFileBytes(image);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
@@ -517,7 +508,7 @@ int CmdFuzz(const Args& args) {
 
   std::vector<FuzzSeed> seeds;
   for (const std::string& path : args.pos) {
-    auto bytes = ReadFile(path);
+    auto bytes = ReadFileBytes(path);
     if (!bytes.ok()) {
       return DiagError(bytes.error());
     }
@@ -1115,8 +1106,8 @@ int CmdProfile(const Args& args) {
 }
 
 int CmdDiff(const Args& args) {
-  auto old_bytes = ReadFile(args.pos[0]);
-  auto new_bytes = ReadFile(args.pos[1]);
+  auto old_bytes = ReadFileBytes(args.pos[0]);
+  auto new_bytes = ReadFileBytes(args.pos[1]);
   if (!old_bytes.ok() || !new_bytes.ok()) {
     return DiagError("cannot read images");
   }
@@ -1161,7 +1152,7 @@ int CmdCheck(const Args& args) {
   if (positional.size() < 2 && dataset_path.empty()) {
     return DiagError("check requires OBJECT and either IMAGE... or --dataset=FILE");
   }
-  auto object_bytes = ReadFile(positional[0]);
+  auto object_bytes = ReadFileBytes(positional[0]);
   if (!object_bytes.ok()) {
     return DiagError(object_bytes.error().ToString());
   }
@@ -1175,7 +1166,7 @@ int CmdCheck(const Args& args) {
   }
   Dataset dataset;
   if (!dataset_path.empty()) {
-    auto bytes = ReadFile(dataset_path);
+    auto bytes = ReadFileBytes(dataset_path);
     if (!bytes.ok()) {
       return DiagError(bytes.error().ToString());
     }
@@ -1186,7 +1177,7 @@ int CmdCheck(const Args& args) {
     dataset = loaded.TakeValue();
   }
   for (size_t i = 1; i < positional.size(); ++i) {
-    auto bytes = ReadFile(positional[i]);
+    auto bytes = ReadFileBytes(positional[i]);
     if (!bytes.ok()) {
       return DiagError(bytes.error().ToString());
     }
@@ -1217,7 +1208,7 @@ int CmdCheck(const Args& args) {
 // 2 when the analyzer reports findings, 1 when the object is unreadable.
 int CmdAnalyze(const Args& args) {
   const std::string& path = args.pos[0];
-  auto bytes = ReadFile(path);
+  auto bytes = ReadFileBytes(path);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
@@ -1277,7 +1268,7 @@ int CmdAnalyze(const Args& args) {
 // rewrite, or the rewrite introduced a new one).
 int CmdFix(const Args& args) {
   const std::string& path = args.pos[0];
-  auto bytes = ReadFile(path);
+  auto bytes = ReadFileBytes(path);
   if (!bytes.ok()) {
     return DiagError(bytes.error());
   }
@@ -1365,7 +1356,7 @@ int CmdDatasetBuild(const Args& args) {
   std::string out = args.Text("out");
   Dataset dataset;
   for (const std::string& path : args.pos) {
-    auto bytes = ReadFile(path);
+    auto bytes = ReadFileBytes(path);
     if (!bytes.ok()) {
       return DiagError(bytes.error().ToString());
     }
@@ -1395,7 +1386,7 @@ struct LoadedDataset {
 
 Result<LoadedDataset> LoadDatasetFile(const std::string& path) {
   LoadedDataset loaded;
-  auto bytes = ReadFile(path);
+  auto bytes = ReadFileBytes(path);
   if (!bytes.ok()) {
     return bytes.TakeError();
   }

@@ -5,14 +5,11 @@
 namespace depsurf {
 
 void ByteWriter::WriteUint(uint64_t v, int width) {
-  if (endian_ == Endian::kLittle) {
-    for (int i = 0; i < width; ++i) {
-      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  } else {
-    for (int i = width - 1; i >= 0; --i) {
-      bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
+  size_t at = bytes_.size();
+  bytes_.resize(at + width);
+  uint8_t* p = bytes_.data() + at;
+  for (int i = 0; i < width; ++i) {
+    p[endian_ == Endian::kLittle ? i : width - 1 - i] = static_cast<uint8_t>(v >> (8 * i));
   }
 }
 

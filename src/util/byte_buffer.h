@@ -28,6 +28,7 @@ class ByteWriter {
   size_t size() const { return bytes_.size(); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
+  void Reserve(size_t capacity) { bytes_.reserve(capacity); }
 
   void WriteU8(uint8_t v) { bytes_.push_back(v); }
   void WriteU16(uint16_t v) { WriteUint(v, 2); }
