@@ -10,52 +10,6 @@
 
 namespace depsurf {
 
-DatasetView::~DatasetView() = default;
-
-const char* MismatchKindName(MismatchKind kind) {
-  switch (kind) {
-    case MismatchKind::kAbsent:
-      return "absent";
-    case MismatchKind::kChanged:
-      return "changed";
-    case MismatchKind::kFullInline:
-      return "full_inline";
-    case MismatchKind::kSelectiveInline:
-      return "selective_inline";
-    case MismatchKind::kTransformed:
-      return "transformed";
-    case MismatchKind::kDuplicated:
-      return "duplicated";
-    case MismatchKind::kCollision:
-      return "collision";
-    case MismatchKind::kNotTraceable:
-      return "not_traceable";
-  }
-  return "?";
-}
-
-char MismatchKindCode(MismatchKind kind) {
-  switch (kind) {
-    case MismatchKind::kAbsent:
-      return '-';
-    case MismatchKind::kChanged:
-      return 'C';
-    case MismatchKind::kFullInline:
-      return 'F';
-    case MismatchKind::kSelectiveInline:
-      return 'S';
-    case MismatchKind::kTransformed:
-      return 'T';
-    case MismatchKind::kDuplicated:
-      return 'D';
-    case MismatchKind::kCollision:
-      return 'N';
-    case MismatchKind::kNotTraceable:
-      return 'U';
-  }
-  return '?';
-}
-
 namespace {
 
 uint8_t PackFuncFlags(const FunctionStatus& status) {
@@ -111,10 +65,13 @@ void SortByName(std::vector<Record>& records) {
 }
 
 template <typename Record>
-const Record* FindByName(const std::vector<Record>& records, StrId name) {
+std::optional<Record> FindByName(const std::vector<Record>& records, StrId name) {
   auto it = std::lower_bound(records.begin(), records.end(), name,
                              [](const Record& r, StrId key) { return r.name < key; });
-  return it == records.end() || it->name != name ? nullptr : &*it;
+  if (it == records.end() || it->name != name) {
+    return std::nullopt;
+  }
+  return *it;
 }
 
 }  // namespace
@@ -259,202 +216,34 @@ void Dataset::AddImage(const std::string& label, const DependencySurface& surfac
   images_.push_back(std::move(record));
 }
 
-std::vector<std::string> Dataset::labels() const {
-  std::vector<std::string> out;
-  out.reserve(images_.size());
-  for (const ImageRecord& image : images_) {
-    out.push_back(image.label);
-  }
-  return out;
+std::optional<FuncRecord> Dataset::FindFunc(size_t image, StrId name, Status* /*error*/) const {
+  return FindByName(images_[image].funcs, name);
 }
 
-const FuncRecord* Dataset::FindFunc(size_t image_index, StrId name) const {
-  return name == kNoStr ? nullptr : FindByName(images_[image_index].funcs, name);
+std::optional<StructRecord> Dataset::FindStruct(size_t image, StrId name,
+                                                Status* /*error*/) const {
+  return FindByName(images_[image].structs, name);
 }
 
-const StructRecord* Dataset::FindStruct(size_t image_index, StrId name) const {
-  return name == kNoStr ? nullptr : FindByName(images_[image_index].structs, name);
+std::optional<TracepointRecord> Dataset::FindTracepoint(size_t image, StrId name,
+                                                        Status* /*error*/) const {
+  return FindByName(images_[image].tracepoints, name);
 }
 
-const StrId* Dataset::FindField(const StructRecord& record, StrId field) const {
-  std::span<const Pair> fields = Pairs(record.fields_begin, record.fields_count);
-  auto it = std::lower_bound(fields.begin(), fields.end(), field,
-                             [](const Pair& pair, StrId key) { return pair.first < key; });
-  return it == fields.end() || it->first != field ? nullptr : &it->second;
+bool Dataset::HasSyscall(size_t image, StrId name, Status* /*error*/) const {
+  const std::vector<StrId>& syscalls = images_[image].syscalls;
+  return std::binary_search(syscalls.begin(), syscalls.end(), name);
 }
 
-std::vector<std::set<MismatchKind>> Dataset::CheckFunc(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
-  StrId id = Lookup(name);
-  const FuncRecord* baseline = nullptr;
-  for (size_t i = 0; i < images_.size(); ++i) {
-    const FuncRecord* fr = FindFunc(i, id);
-    if (fr == nullptr) {
-      out[i].insert(MismatchKind::kAbsent);
-      continue;
-    }
-    if (baseline == nullptr) {
-      baseline = fr;
-    } else if (fr->decl_hash != baseline->decl_hash) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-    if ((fr->flags & kFuncFullInline) != 0) {
-      out[i].insert(MismatchKind::kFullInline);
-    }
-    if ((fr->flags & kFuncSelectiveInline) != 0) {
-      out[i].insert(MismatchKind::kSelectiveInline);
-    }
-    if ((fr->flags & kFuncTransformed) != 0) {
-      out[i].insert(MismatchKind::kTransformed);
-    }
-    if ((fr->flags & kFuncDuplicated) != 0) {
-      out[i].insert(MismatchKind::kDuplicated);
-    }
-    if ((fr->flags & kFuncCollided) != 0) {
-      out[i].insert(MismatchKind::kCollision);
-    }
-  }
-  return out;
-}
-
-std::vector<std::set<MismatchKind>> Dataset::CheckStruct(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
-  StrId id = Lookup(name);
-  std::optional<std::span<const Pair>> baseline;
-  for (size_t i = 0; i < images_.size(); ++i) {
-    const StructRecord* sr = FindStruct(i, id);
-    if (sr == nullptr) {
-      out[i].insert(MismatchKind::kAbsent);
-      continue;
-    }
-    std::span<const Pair> fields = Pairs(sr->fields_begin, sr->fields_count);
-    if (!baseline.has_value()) {
-      baseline = fields;
-    } else if (!std::ranges::equal(fields, *baseline)) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-  }
-  return out;
-}
-
-std::vector<std::set<MismatchKind>> Dataset::CheckField(const std::string& struct_name,
-                                                        const std::string& field_name,
-                                                        const std::string& expected_type,
-                                                        bool guarded) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
-  StrId sid = Lookup(struct_name);
-  StrId fid = Lookup(field_name);
-  StrId expected = expected_type.empty() ? kNoStr : Lookup(expected_type);
-  bool expectation_fixed = !expected_type.empty();
-  for (size_t i = 0; i < images_.size(); ++i) {
-    const StrId* actual = nullptr;
-    if (fid != kNoStr) {
-      if (const StructRecord* sr = FindStruct(i, sid); sr != nullptr) {
-        actual = FindField(*sr, fid);
-      }
-    }
-    if (actual == nullptr) {
-      if (!guarded) {
-        out[i].insert(MismatchKind::kAbsent);
-      }
-      continue;
-    }
-    if (expected == kNoStr && !expectation_fixed) {
-      expected = *actual;  // baseline fallback
-    } else if (*actual != expected) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-  }
-  return out;
-}
-
-std::vector<std::set<MismatchKind>> Dataset::CheckTracepoint(const std::string& event) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
-  StrId id = Lookup(event);
-  const TracepointRecord* baseline = nullptr;
-  for (size_t i = 0; i < images_.size(); ++i) {
-    const TracepointRecord* tr =
-        id == kNoStr ? nullptr : FindByName(images_[i].tracepoints, id);
-    if (tr == nullptr) {
-      out[i].insert(MismatchKind::kAbsent);
-      continue;
-    }
-    if (baseline == nullptr) {
-      baseline = tr;
-    } else if (!std::ranges::equal(Pairs(tr->params_begin, tr->params_count),
-                                   Pairs(baseline->params_begin, baseline->params_count)) ||
-               !std::ranges::equal(Pairs(tr->fields_begin, tr->fields_count),
-                                   Pairs(baseline->fields_begin, baseline->fields_count))) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-  }
-  return out;
-}
-
-std::vector<std::set<MismatchKind>> Dataset::CheckSyscall(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
-  StrId id = Lookup(name);
-  for (size_t i = 0; i < images_.size(); ++i) {
-    const std::vector<StrId>& syscalls = images_[i].syscalls;
-    if (id == kNoStr || !std::binary_search(syscalls.begin(), syscalls.end(), id)) {
-      out[i].insert(MismatchKind::kAbsent);
-    }
-    // Compat (32-bit) traceability is a per-image property reported by the
-    // configuration analysis (Table 5), not a per-dependency mismatch.
-  }
-  return out;
-}
-
-std::optional<std::string_view> Dataset::FuncDeclAt(const std::string& name,
-                                                    size_t image_index) const {
-  if (image_index >= images_.size()) {
-    return std::nullopt;
-  }
-  const FuncRecord* fr = FindFunc(image_index, Lookup(name));
-  if (fr == nullptr || fr->decl == kNoStr) {
-    return std::nullopt;
-  }
-  return StringAt(fr->decl);
-}
-
-std::optional<std::string_view> Dataset::FieldTypeAt(const std::string& struct_name,
-                                                     const std::string& field_name,
-                                                     size_t image_index) const {
-  if (image_index >= images_.size()) {
-    return std::nullopt;
-  }
-  StrId fid = Lookup(field_name);
-  const StructRecord* sr = FindStruct(image_index, Lookup(struct_name));
-  if (sr == nullptr || fid == kNoStr) {
-    return std::nullopt;
-  }
-  const StrId* type = FindField(*sr, fid);
-  if (type == nullptr) {
-    return std::nullopt;
-  }
-  return StringAt(*type);
-}
-
-SurfaceMeta Dataset::MetaAt(size_t image_index) const {
-  return image_index < images_.size() ? images_[image_index].meta : SurfaceMeta{};
-}
-
-std::string Dataset::HealthSummaryAt(size_t image_index) const {
-  return image_index < images_.size() ? images_[image_index].health.Summary() : std::string("clean");
-}
-
-bool Dataset::AnyDegradedAt(size_t image_index) const {
-  return image_index < images_.size() && images_[image_index].AnyDegraded();
-}
-
-std::vector<std::set<MismatchKind>> Dataset::CheckRegisters() const {
-  std::vector<std::set<MismatchKind>> out(images_.size());
-  for (size_t i = 1; i < images_.size(); ++i) {
-    if (images_[i].pt_regs_hash != images_[0].pt_regs_hash) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-  }
-  return out;
+SurfaceHealth Dataset::ImageHealth(size_t image) const {
+  const SurfaceHealth& health = images_[image].health;
+  SurfaceHealth states;
+  states.elf = health.elf;
+  states.dwarf = health.dwarf;
+  states.btf = health.btf;
+  states.tracepoint = health.tracepoint;
+  states.syscall = health.syscall;
+  return states;
 }
 
 }  // namespace depsurf

@@ -14,7 +14,6 @@
 #define DEPSURF_SRC_CORE_DATASET_H_
 
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -27,48 +26,7 @@
 
 namespace depsurf {
 
-// FunctionStatus bits as both `.dds` formats store them.
-inline constexpr uint8_t kFuncExactSymbol = 1 << 0;
-inline constexpr uint8_t kFuncFullInline = 1 << 1;
-inline constexpr uint8_t kFuncSelectiveInline = 1 << 2;
-inline constexpr uint8_t kFuncTransformed = 1 << 3;
-inline constexpr uint8_t kFuncDuplicated = 1 << 4;
-inline constexpr uint8_t kFuncCollided = 1 << 5;
-inline constexpr uint8_t kFuncExternal = 1 << 6;
-inline constexpr uint8_t kFuncFlagMask = 0x7f;
-
-// The records below have the shapes of the `.dds` v2 entries
-// (docs/FORMATS.md §6a). Each image keeps one array per kind, sorted by
-// strictly ascending name id so queries binary-search it.
-
-struct FuncRecord {
-  StrId name = 0;
-  // Rendered declaration ("int vfs_fsync(struct file *file, int datasync)"),
-  // interned: declarations repeat across images. 0xffffffff: none.
-  StrId decl = 0xffffffff;
-  uint64_t decl_hash = 0;  // fingerprint of (return type, param names+types)
-  // Transform suffix (".isra.0"), an id in Dataset::SuffixAt's pool;
-  // 0xffffffff: none. Suffixes stay out of the name pool, so distilling
-  // them cannot shift v1 pool ids.
-  uint32_t suffix = 0xffffffff;
-  uint8_t flags = 0;  // kFunc* bits
-};
-
-// Field lists are [begin, begin + count) slices of the dataset's pair arena
-// (Dataset::Pairs); each pair is (field name id, field type id).
-struct StructRecord {
-  StrId name = 0;
-  uint32_t fields_begin = 0;  // sorted by (name id, type id)
-  uint32_t fields_count = 0;
-};
-
-struct TracepointRecord {
-  StrId name = 0;
-  uint32_t params_begin = 0;  // in declaration order
-  uint32_t params_count = 0;
-  uint32_t fields_begin = 0;  // sorted by (name id, type id)
-  uint32_t fields_count = 0;
-};
+static_assert(StringPool::kNone == kNoStrId);
 
 struct ImageRecord {
   std::string label;
@@ -96,34 +54,6 @@ class Dataset : public DatasetView {
 
   size_t num_images() const override { return images_.size(); }
   const std::vector<ImageRecord>& images() const { return images_; }
-  std::vector<std::string> labels() const override;
-  SurfaceMeta MetaAt(size_t image_index) const override;
-  std::string HealthSummaryAt(size_t image_index) const override;
-  bool AnyDegradedAt(size_t image_index) const override;
-
-  // All queries return one mismatch set per image, in insertion order.
-  // Baselines (for Changed) are the construct's definition on the earliest
-  // image where it is present.
-  std::vector<std::set<MismatchKind>> CheckFunc(const std::string& name) const override;
-  std::vector<std::set<MismatchKind>> CheckStruct(const std::string& name) const override;
-  // `expected_type` is the program-side expectation (empty: fall back to
-  // the baseline image's type). Guarded accesses never report kAbsent.
-  std::vector<std::set<MismatchKind>> CheckField(const std::string& struct_name,
-                                                 const std::string& field_name,
-                                                 const std::string& expected_type,
-                                                 bool guarded) const override;
-  std::vector<std::set<MismatchKind>> CheckTracepoint(const std::string& event) const override;
-  std::vector<std::set<MismatchKind>> CheckSyscall(const std::string& name) const override;
-  // Register-layout mismatch vs the first image (Table 5's "Register Δ").
-  std::vector<std::set<MismatchKind>> CheckRegisters() const override;
-
-  // Rendered function declaration on one image; nullopt when absent there.
-  std::optional<std::string_view> FuncDeclAt(const std::string& name,
-                                             size_t image_index) const override;
-  // Field type string on one image; nullopt when absent.
-  std::optional<std::string_view> FieldTypeAt(const std::string& struct_name,
-                                              const std::string& field_name,
-                                              size_t image_index) const override;
 
   // A record's field or parameter list.
   std::span<const Pair> Pairs(uint32_t begin, uint32_t count) const {
@@ -134,9 +64,6 @@ class Dataset : public DatasetView {
   size_t pool_size() const { return pool_.size(); }
   const StringPool& pool() const { return pool_; }
   StrId Intern(std::string_view s);
-  // kNoStr if the string was never interned.
-  static constexpr StrId kNoStr = StringPool::kNone;
-  StrId Lookup(std::string_view s) const { return pool_.Lookup(s); }
   std::string_view StringAt(StrId id) const { return pool_.At(id); }
   std::string_view SuffixAt(uint32_t id) const { return suffixes_.At(id); }
 
@@ -152,10 +79,22 @@ class Dataset : public DatasetView {
   friend Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes);
   friend Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes);
 
-  const FuncRecord* FindFunc(size_t image_index, StrId name) const;
-  const StructRecord* FindStruct(size_t image_index, StrId name) const;
-  // The type id of `field` in `record`, or nullptr.
-  const StrId* FindField(const StructRecord& record, StrId field) const;
+  // The record interface (dataset_view.h) over the arrays; a loaded or
+  // distilled Dataset has no malformed run, so `error` is never set.
+  StrId LookupId(std::string_view text, Status*) const override { return pool_.Lookup(text); }
+  std::optional<std::string_view> StringViewAt(StrId id) const override { return pool_.At(id); }
+  std::optional<FuncRecord> FindFunc(size_t image, StrId name, Status* error) const override;
+  std::optional<StructRecord> FindStruct(size_t image, StrId name, Status* error) const override;
+  std::optional<TracepointRecord> FindTracepoint(size_t image, StrId name,
+                                                 Status* error) const override;
+  bool HasSyscall(size_t image, StrId name, Status* error) const override;
+  std::optional<PairRun> PairRunAt(uint32_t begin, uint32_t count) const override {
+    return PairRun(Pairs(begin, count));
+  }
+  uint64_t PtRegsHashAt(size_t i) const override { return images_[i].pt_regs_hash; }
+  std::string_view ImageLabel(size_t i) const override { return images_[i].label; }
+  SurfaceMeta ImageMeta(size_t i) const override { return images_[i].meta; }
+  SurfaceHealth ImageHealth(size_t image) const override;
 
   std::vector<ImageRecord> images_;
   std::vector<Pair> pairs_;

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <ranges>
 #include <span>
 #include <string_view>
 #include <type_traits>
@@ -51,9 +52,18 @@ Result<uint32_t> ReadPairs(ByteReader& r, size_t max_id, std::vector<Dataset::Pa
   return begin;
 }
 
-// The ordering invariants the queries' binary searches rely on. A loader
-// rejects a file that breaks them: a search over such records would answer
-// wrong without any error.
+// The ordering invariants the queries' binary searches rely on. The loaders
+// reject a file that breaks them, and MmapDataset reports the same messages
+// for a run it maps: a search over such records would answer wrong without
+// any error.
+Error NameOrderError(const char* what) {
+  return Error(ErrorCode::kMalformedData, std::string(what) + " name ids not strictly ascending");
+}
+
+Error FieldOrderError() {
+  return Error(ErrorCode::kMalformedData, "struct field pairs not sorted");
+}
+
 template <typename Record>
 Status CheckNameOrder(const std::vector<Record>& records, StrId name, const char* what) {
   if (records.empty()) {
@@ -65,16 +75,14 @@ Status CheckNameOrder(const std::vector<Record>& records, StrId name, const char
   } else {
     previous = records.back().name;
   }
-  if (name <= previous) {
-    return Status(ErrorCode::kMalformedData,
-                  std::string(what) + " name ids not strictly ascending");
-  }
-  return Status::Ok();
+  return name <= previous ? Status(NameOrderError(what)) : Status::Ok();
 }
 
-Status CheckFieldOrder(std::span<const Dataset::Pair> fields) {
-  if (!std::is_sorted(fields.begin(), fields.end())) {
-    return Status(ErrorCode::kMalformedData, "struct field pairs not sorted");
+Status CheckFieldOrder(const PairRun& fields) {
+  for (size_t i = 1; i < fields.size(); ++i) {
+    if (fields[i] < fields[i - 1]) {
+      return FieldOrderError();
+    }
   }
   return Status::Ok();
 }
@@ -107,11 +115,11 @@ std::vector<uint8_t> SaveDataset(const Dataset& dataset) {
     for (const FuncRecord& record : image.funcs) {
       WriteUleb128(w, record.name);
       w.WriteU8(record.flags);
-      w.WriteCString(record.suffix == Dataset::kNoStr ? std::string_view()
-                                                      : dataset.SuffixAt(record.suffix));
+      w.WriteCString(record.suffix == kNoStrId ? std::string_view()
+                                               : dataset.SuffixAt(record.suffix));
       w.WriteU64(record.decl_hash);
-      // kNoStr sentinel encodes as pool_size (never a valid id).
-      WriteUleb128(w, record.decl == Dataset::kNoStr ? dataset.pool_size() : record.decl);
+      // kNoStrId encodes as pool_size (never a valid id).
+      WriteUleb128(w, record.decl == kNoStrId ? dataset.pool_size() : record.decl);
     }
     WriteUleb128(w, image.structs.size());
     for (const StructRecord& record : image.structs) {
@@ -218,9 +226,9 @@ Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes) {
       FuncRecord record;
       record.name = static_cast<StrId>(name);
       record.flags = flags & kFuncFlagMask;
-      record.suffix = suffix.empty() ? Dataset::kNoStr : dataset.suffixes_.Intern(suffix);
+      record.suffix = suffix.empty() ? kNoStrId : dataset.suffixes_.Intern(suffix);
       record.decl_hash = decl_hash;
-      record.decl = decl == num_strings ? Dataset::kNoStr : static_cast<StrId>(decl);
+      record.decl = decl == num_strings ? kNoStrId : static_cast<StrId>(decl);
       DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.funcs, record.name, "function"));
       image.funcs.push_back(record);
     }
@@ -335,7 +343,8 @@ Result<Dataset> LoadDataset(const std::vector<uint8_t>& bytes) {
 
 namespace {
 
-// Section kinds, also the section-table order. sections_ is indexed by kind.
+// Section kinds, also the section-table order. V2Header::sections is indexed
+// by kind.
 constexpr uint32_t kSecStringOffsets = 1;  // u64[string_count + 1]
 constexpr uint32_t kSecStringBlob = 2;     // NUL-terminated string bodies
 constexpr uint32_t kSecStringSorted = 3;   // u32[string_count], lexicographic
@@ -347,6 +356,7 @@ constexpr uint32_t kSecSyscalls = 8;       // u32 name ids, ascending
 constexpr uint32_t kSecPairs = 9;          // (u32, u32) flattened field lists
 constexpr uint32_t kSecDiags = 10;         // 16-byte ledger entries
 constexpr uint32_t kV2SectionCount = 10;
+static_assert(std::size(V2Header{}.sections) == kV2SectionCount + 1);
 
 constexpr size_t kV2HeaderSize = 40;
 constexpr size_t kV2SectionEntrySize = 24;
@@ -383,6 +393,19 @@ DegradationState ClampState(uint8_t raw) {
              : static_cast<DegradationState>(raw);
 }
 
+// The numeric fields of an image header; flavor and arch are string ids.
+SurfaceMeta MetaFromHeader(const uint8_t* img) {
+  SurfaceMeta meta;
+  meta.version_major = LoadU16(img + 12);
+  meta.version_minor = LoadU16(img + 14);
+  meta.gcc_major = img[16];
+  meta.pointer_size = img[17];
+  meta.endian = img[18] == 1 ? Endian::kBig : Endian::kLittle;
+  meta.compat_syscalls_traceable = img[19] != 0;
+  meta.config_options = LoadU32(img + 20);
+  return meta;
+}
+
 SurfaceHealth HealthFromHeader(const uint8_t* img) {
   SurfaceHealth health;
   health.elf = ClampState(img[32]);
@@ -406,7 +429,7 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
   StringPool appended;
   auto intern = [&](std::string_view s) -> uint32_t {
     StrId id = pool.Lookup(s);
-    return id != Dataset::kNoStr ? id : pool_size + appended.Intern(s);
+    return id != kNoStrId ? id : pool_size + appended.Intern(s);
   };
   auto string_at = [&](uint32_t id) {
     return id < pool_size ? pool.At(id) : appended.At(id - pool_size);
@@ -441,10 +464,10 @@ std::vector<uint8_t> SaveDatasetV2(const Dataset& dataset) {
     // mmap-side binary search requires.
     for (const FuncRecord& record : image.funcs) {
       funcs_w.WriteU32(record.name);
-      funcs_w.WriteU32(record.decl);  // Dataset::kNoStr doubles as "no decl"
+      funcs_w.WriteU32(record.decl);  // kNoStrId doubles as "no decl"
       funcs_w.WriteU64(record.decl_hash);
-      funcs_w.WriteU32(record.suffix == Dataset::kNoStr ? Dataset::kNoStr
-                                                        : intern(dataset.SuffixAt(record.suffix)));
+      funcs_w.WriteU32(record.suffix == kNoStrId ? kNoStrId
+                                                 : intern(dataset.SuffixAt(record.suffix)));
       funcs_w.WriteU8(record.flags);
       funcs_w.WriteZeros(3);
       ++func_cursor;
@@ -611,13 +634,6 @@ Result<Dataset> LoadAnyDataset(const std::vector<uint8_t>& bytes) {
 
 namespace {
 
-// The header and section table of a v2 buffer, validated.
-struct V2Header {
-  uint32_t image_count = 0;
-  uint32_t string_count = 0;
-  std::pair<uint64_t, uint64_t> sections[kV2SectionCount + 1];  // (offset, size) by kind
-};
-
 Status ParseV2Header(const uint8_t* data, size_t size, V2Header* header) {
   if (size < kV2HeaderSize) {
     return Status(ErrorCode::kMalformedData, "v2 dataset shorter than its header");
@@ -661,41 +677,144 @@ Status ParseV2Header(const uint8_t* data, size_t size, V2Header* header) {
   }
   // Structural invariants between counts and section sizes; everything past
   // this point is lazily bounds-checked per access instead.
-  if (header->string_count >= Dataset::kNoStr ||
-      sections[kSecStringOffsets].second !=
+  if (header->string_count >= kNoStrId ||
+      sections[kSecStringOffsets].size !=
           (static_cast<uint64_t>(header->string_count) + 1) * 8) {
     return Status(ErrorCode::kMalformedData, "v2 string offset table size mismatch");
   }
-  if (sections[kSecStringSorted].second != static_cast<uint64_t>(header->string_count) * 4) {
+  if (sections[kSecStringSorted].size != static_cast<uint64_t>(header->string_count) * 4) {
     return Status(ErrorCode::kMalformedData, "v2 sorted string index size mismatch");
   }
-  if (sections[kSecImages].second !=
+  if (sections[kSecImages].size !=
       static_cast<uint64_t>(header->image_count) * kV2ImageHeaderSize) {
     return Status(ErrorCode::kMalformedData, "v2 image section size mismatch");
   }
-  if (sections[kSecFuncs].second % kV2FuncEntrySize != 0 ||
-      sections[kSecStructs].second % kV2StructEntrySize != 0 ||
-      sections[kSecTracepoints].second % kV2TracepointEntrySize != 0 ||
-      sections[kSecSyscalls].second % 4 != 0 || sections[kSecPairs].second % kV2PairSize != 0 ||
-      sections[kSecDiags].second % kV2DiagEntrySize != 0) {
+  if (sections[kSecFuncs].size % kV2FuncEntrySize != 0 ||
+      sections[kSecStructs].size % kV2StructEntrySize != 0 ||
+      sections[kSecTracepoints].size % kV2TracepointEntrySize != 0 ||
+      sections[kSecSyscalls].size % 4 != 0 || sections[kSecPairs].size % kV2PairSize != 0 ||
+      sections[kSecDiags].size % kV2DiagEntrySize != 0) {
     return Status(ErrorCode::kMalformedData, "v2 record section size not entry-aligned");
   }
   return Status::Ok();
+}
+
+// Where each run kind lives: its section, entry stride, the offset of its
+// [begin, count) range in an image header, and the loaders' word for it.
+// The first kCheckedRuns kinds are binary-searched by name id.
+struct RunLayout {
+  uint32_t section;
+  size_t stride;
+  size_t range;
+  const char* what;
+};
+enum RunKind : uint8_t { kFuncRun, kStructRun, kTracepointRun, kSyscallRun, kDiagRun };
+constexpr size_t kCheckedRuns = 4;
+constexpr RunLayout kRunLayouts[] = {
+    {kSecFuncs, kV2FuncEntrySize, kImgFuncRange, "function"},
+    {kSecStructs, kV2StructEntrySize, kImgStructRange, "struct"},
+    {kSecTracepoints, kV2TracepointEntrySize, kImgTracepointRange, "tracepoint"},
+    {kSecSyscalls, 4, kImgSyscallRange, "syscall"},
+    {kSecDiags, kV2DiagEntrySize, kImgDiagRange, "diagnostic"},
+};
+
+// One image's run of a kind: its first entry and entry count; nullopt when
+// the recorded range leaves the section.
+std::optional<std::pair<const uint8_t*, uint32_t>> RunOf(const uint8_t* data,
+                                                         const V2Header& header,
+                                                         const uint8_t* img, RunKind run) {
+  const RunLayout& layout = kRunLayouts[run];
+  const V2Header::Section& sec = header.sections[layout.section];
+  uint32_t begin = LoadU32(img + layout.range);
+  uint32_t count = LoadU32(img + layout.range + 4);
+  uint64_t entries = sec.size / layout.stride;
+  if (begin > entries || count > entries - begin) {
+    return std::nullopt;
+  }
+  return std::pair(data + sec.offset + uint64_t{begin} * layout.stride, count);
+}
+
+// String `id` of a v2 string table; nullopt when its offsets are corrupt.
+std::optional<std::string_view> V2String(const uint8_t* data, const V2Header& header, StrId id) {
+  if (id >= header.string_count) {
+    return std::nullopt;
+  }
+  const uint8_t* offsets = data + header.sections[kSecStringOffsets].offset + uint64_t{id} * 8;
+  const V2Header::Section& blob = header.sections[kSecStringBlob];
+  uint64_t begin = LoadU64(offsets);
+  uint64_t end = LoadU64(offsets + 8);
+  if (begin >= end || end > blob.size || data[blob.offset + end - 1] != '\0') {
+    return std::nullopt;
+  }
+  return std::string_view(reinterpret_cast<const char*>(data + blob.offset + begin),
+                          end - begin - 1);
+}
+
+// Entry decoders. A function's suffix is a v2 string id here; it is left
+// unset for the loader to map into the suffix pool.
+FuncRecord DecodeFunc(const uint8_t* e) {
+  return FuncRecord{LoadU32(e), LoadU32(e + 4), LoadU64(e + 8), kNoStrId,
+                    static_cast<uint8_t>(e[20] & kFuncFlagMask)};
+}
+
+StructRecord DecodeStruct(const uint8_t* e) {
+  return StructRecord{LoadU32(e), LoadU32(e + 4), LoadU32(e + 8)};
+}
+
+TracepointRecord DecodeTracepoint(const uint8_t* e) {
+  return TracepointRecord{LoadU32(e), LoadU32(e + 4), LoadU32(e + 8), LoadU32(e + 12),
+                          LoadU32(e + 16)};
+}
+
+// A run's (or the string index's) check result, memoized per view.
+enum Verdict : uint8_t { kUnchecked, kSound, kNameOrder, kFieldOrder, kIndexOrder, kBadString };
+
+// Sets `*error` to the message LoadDatasetV2 gives for the same fault,
+// unless it already holds an earlier one.
+void Report(Status* error, uint8_t verdict, const char* what) {
+  if (error == nullptr || !error->ok()) {
+    return;
+  }
+  if (verdict == kNameOrder) {
+    *error = NameOrderError(what);
+  } else if (verdict == kFieldOrder) {
+    *error = FieldOrderError();
+  } else {
+    *error = Status(ErrorCode::kMalformedData, verdict == kIndexOrder
+                                                   ? "v2 sorted string index not ascending"
+                                                   : "v2 string table entry corrupt");
+  }
+}
+
+// Computes a verdict once. The verdict depends only on the mapped bytes, so
+// lanes that race here compute and store the same value.
+template <typename Compute>
+uint8_t Memoized(std::atomic<uint8_t>& slot, Compute compute) {
+  uint8_t verdict = slot.load();
+  if (verdict == kUnchecked) {
+    verdict = compute();
+    slot.store(verdict);
+  }
+  return verdict;
+}
+
+// Binary search for the entry named `name` in a run of `count` entries of
+// `stride` bytes that start with their name id; nullptr when absent.
+const uint8_t* FindNamedEntry(const uint8_t* run, uint32_t count, size_t stride, StrId name) {
+  auto at = [&](uint32_t i) { return run + uint64_t{i} * stride; };
+  auto indices = std::views::iota(uint32_t{0}, count);
+  auto it =
+      std::ranges::partition_point(indices, [&](uint32_t i) { return LoadU32(at(i)) < name; });
+  return it != indices.end() && LoadU32(at(*it)) == name ? at(*it) : nullptr;
 }
 
 }  // namespace
 
 Status MmapDataset::Attach(const uint8_t* data, size_t size) {
   data_ = data;
-  size_ = size;
-  V2Header header;
-  DEPSURF_RETURN_IF_ERROR(ParseV2Header(data, size, &header));
-  image_count_ = header.image_count;
-  string_count_ = header.string_count;
-  sections_.assign(kV2SectionCount + 1, Section{});
-  for (uint32_t kind = 1; kind <= kV2SectionCount; ++kind) {
-    sections_[kind] = Section{header.sections[kind].first, header.sections[kind].second};
-  }
+  DEPSURF_RETURN_IF_ERROR(ParseV2Header(data, size, &header_));
+  verdicts_ =
+      std::make_unique<std::atomic<uint8_t>[]>(size_t{header_.image_count} * kCheckedRuns + 1);
   return Status::Ok();
 }
 
@@ -716,458 +835,146 @@ Result<MmapDataset> MmapDataset::Open(const std::string& path) {
     return Error(ErrorCode::kIoError, "mmap failed for " + path);
   }
   MmapDataset dataset;
-  dataset.map_base_ = base;
-  dataset.map_len_ = len;
-  Status status = dataset.Attach(static_cast<const uint8_t*>(base), len);
-  if (!status.ok()) {
-    return status.TakeError();  // dataset's destructor unmaps
-  }
+  dataset.mapping_ = std::unique_ptr<void, Unmap>(base, Unmap{len});
+  // On error, the dataset's destructor unmaps.
+  DEPSURF_RETURN_IF_ERROR(dataset.Attach(static_cast<const uint8_t*>(base), len));
   return dataset;
 }
 
 Result<MmapDataset> MmapDataset::FromBytes(std::vector<uint8_t> bytes) {
   MmapDataset dataset;
   dataset.owned_ = std::move(bytes);
-  Status status = dataset.Attach(dataset.owned_.data(), dataset.owned_.size());
-  if (!status.ok()) {
-    return status.TakeError();
-  }
+  DEPSURF_RETURN_IF_ERROR(dataset.Attach(dataset.owned_.data(), dataset.owned_.size()));
   return dataset;
 }
 
-MmapDataset::MmapDataset(MmapDataset&& other) noexcept { *this = std::move(other); }
-
-MmapDataset& MmapDataset::operator=(MmapDataset&& other) noexcept {
-  if (this == &other) {
-    return *this;
-  }
-  if (map_base_ != nullptr) {
-    ::munmap(map_base_, map_len_);
-  }
-  data_ = other.data_;
-  size_ = other.size_;
-  map_base_ = other.map_base_;
-  map_len_ = other.map_len_;
-  owned_ = std::move(other.owned_);
-  image_count_ = other.image_count_;
-  string_count_ = other.string_count_;
-  sections_ = std::move(other.sections_);
-  // Re-point at the moved-in buffer when the view owns its bytes.
-  if (!owned_.empty()) {
-    data_ = owned_.data();
-  }
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.map_base_ = nullptr;
-  other.map_len_ = 0;
-  other.image_count_ = 0;
-  other.string_count_ = 0;
-  return *this;
-}
-
-MmapDataset::~MmapDataset() {
-  if (map_base_ != nullptr) {
-    ::munmap(map_base_, map_len_);
-  }
-}
+void MmapDataset::Unmap::operator()(void* base) const { ::munmap(base, length); }
 
 std::optional<std::string_view> MmapDataset::StringViewAt(StrId id) const {
-  if (id >= string_count_) {
-    return std::nullopt;
-  }
-  const Section& offsets = sections_[kSecStringOffsets];
-  const Section& blob = sections_[kSecStringBlob];
-  uint64_t begin = LoadU64(data_ + offsets.offset + static_cast<uint64_t>(id) * 8);
-  uint64_t end = LoadU64(data_ + offsets.offset + (static_cast<uint64_t>(id) + 1) * 8);
-  if (begin >= end || end > blob.size) {
-    return std::nullopt;
-  }
-  const char* base = reinterpret_cast<const char*>(data_ + blob.offset);
-  if (base[end - 1] != '\0') {
-    return std::nullopt;
-  }
-  return std::string_view(base + begin, end - begin - 1);
+  return V2String(data_, header_, id);
 }
 
-StrId MmapDataset::LookupId(std::string_view s) const {
-  const Section& sorted = sections_[kSecStringSorted];
-  uint64_t lo = 0;
-  uint64_t hi = string_count_;
-  while (lo < hi) {
-    uint64_t mid = lo + (hi - lo) / 2;
-    StrId id = LoadU32(data_ + sorted.offset + mid * 4);
-    std::optional<std::string_view> candidate = StringViewAt(id);
-    if (!candidate.has_value()) {
-      return Dataset::kNoStr;  // corrupt index entry: degrade to "absent"
+uint8_t MmapDataset::CheckIndex() const {
+  return Memoized(verdicts_[size_t{header_.image_count} * kCheckedRuns], [this]() -> uint8_t {
+    // A corrupt string outranks the order it breaks, as in LoadDatasetV2.
+    const uint8_t* index = data_ + header_.sections[kSecStringSorted].offset;
+    uint8_t verdict = kSound;
+    std::string_view previous;
+    for (uint64_t i = 0; i < header_.string_count; ++i) {
+      StrId id = LoadU32(index + i * 4);
+      std::optional<std::string_view> text = StringViewAt(id);
+      if (!text.has_value()) {
+        return id >= header_.string_count ? kIndexOrder : kBadString;
+      }
+      if (i > 0 && *text <= previous) {
+        verdict = kIndexOrder;
+      }
+      previous = *text;
     }
-    if (*candidate < s) {
-      lo = mid + 1;
-    } else if (*candidate == s) {
-      return id;
-    } else {
-      hi = mid;
-    }
+    return verdict;
+  });
+}
+
+StrId MmapDataset::LookupId(std::string_view text, Status* error) const {
+  if (uint8_t verdict = CheckIndex(); verdict != kSound) {
+    Report(error, verdict, nullptr);
+    return kNoStrId;
   }
-  return Dataset::kNoStr;
+  // A sound index is a permutation of decodable ids in ascending order.
+  const uint8_t* index = data_ + header_.sections[kSecStringSorted].offset;
+  auto text_at = [&](uint32_t i) { return *StringViewAt(LoadU32(index + uint64_t{i} * 4)); };
+  auto indices = std::views::iota(uint32_t{0}, header_.string_count);
+  auto it = std::ranges::partition_point(indices, [&](uint32_t i) { return text_at(i) < text; });
+  return it != indices.end() && text_at(*it) == text ? LoadU32(index + uint64_t{*it} * 4)
+                                                       : kNoStrId;
 }
 
 const uint8_t* MmapDataset::ImageHeader(size_t image_index) const {
-  return data_ + sections_[kSecImages].offset + image_index * kV2ImageHeaderSize;
+  return data_ + header_.sections[kSecImages].offset + image_index * kV2ImageHeaderSize;
 }
 
-namespace {
+uint8_t MmapDataset::CheckRun(size_t image, size_t run) const {
+  return Memoized(verdicts_[image * kCheckedRuns + run], [&]() -> uint8_t {
+    auto entries = RunOf(data_, header_, ImageHeader(image), static_cast<RunKind>(run));
+    if (!entries.has_value()) {
+      return kSound;  // lookups find nothing in it
+    }
+    // Entry by entry, in the loaders' order: name, then field pairs.
+    const size_t stride = kRunLayouts[run].stride;
+    const uint8_t* entry = entries->first;
+    for (uint32_t i = 0; i < entries->second; ++i, entry += stride) {
+      if (i > 0 && LoadU32(entry) <= LoadU32(entry - stride)) {
+        return kNameOrder;
+      }
+      if (run == kStructRun) {
+        std::optional<PairRun> fields = PairRunAt(LoadU32(entry + 4), LoadU32(entry + 8));
+        if (fields.has_value() && !CheckFieldOrder(*fields).ok()) {
+          return kFieldOrder;
+        }
+      }
+    }
+    return kSound;
+  });
+}
 
-// Binary search for `name_id` over the image's [begin, begin+count) slice of
-// a fixed-stride record section whose first field is the name id. Returns
-// nullptr when absent or when the recorded range exceeds the section (a
-// corrupt file answers "absent", it never faults).
-const uint8_t* FindNamedEntry(const uint8_t* section_base, uint64_t section_entries,
-                              size_t stride, uint32_t begin, uint32_t count,
-                              uint32_t name_id) {
-  if (begin > section_entries || count > section_entries - begin) {
+const uint8_t* MmapDataset::FindEntry(size_t image, size_t run, StrId name,
+                                      Status* error) const {
+  if (uint8_t verdict = CheckRun(image, run); verdict != kSound) {
+    Report(error, verdict, kRunLayouts[run].what);
     return nullptr;
   }
-  uint64_t lo = begin;
-  uint64_t hi = static_cast<uint64_t>(begin) + count;
-  while (lo < hi) {
-    uint64_t mid = lo + (hi - lo) / 2;
-    uint32_t mid_name = LoadU32(section_base + mid * stride);
-    if (mid_name < name_id) {
-      lo = mid + 1;
-    } else if (mid_name == name_id) {
-      return section_base + mid * stride;
-    } else {
-      hi = mid;
-    }
-  }
-  return nullptr;
+  auto entries = RunOf(data_, header_, ImageHeader(image), static_cast<RunKind>(run));
+  return entries.has_value()
+             ? FindNamedEntry(entries->first, entries->second, kRunLayouts[run].stride, name)
+             : nullptr;
 }
 
-}  // namespace
-
-std::vector<std::string> MmapDataset::labels() const {
-  std::vector<std::string> out;
-  out.reserve(image_count_);
-  for (size_t i = 0; i < image_count_; ++i) {
-    std::optional<std::string_view> label = StringViewAt(LoadU32(ImageHeader(i)));
-    out.emplace_back(label.value_or(std::string_view()));
-  }
-  return out;
+std::optional<FuncRecord> MmapDataset::FindFunc(size_t image, StrId name, Status* error) const {
+  const uint8_t* entry = FindEntry(image, kFuncRun, name, error);
+  return entry != nullptr ? std::optional(DecodeFunc(entry)) : std::nullopt;
 }
 
-SurfaceMeta MmapDataset::MetaAt(size_t image_index) const {
-  SurfaceMeta meta;
-  if (image_index >= image_count_) {
-    return meta;
+std::optional<StructRecord> MmapDataset::FindStruct(size_t image, StrId name,
+                                                    Status* error) const {
+  const uint8_t* entry = FindEntry(image, kStructRun, name, error);
+  return entry != nullptr ? std::optional(DecodeStruct(entry)) : std::nullopt;
+}
+
+std::optional<TracepointRecord> MmapDataset::FindTracepoint(size_t image, StrId name,
+                                                            Status* error) const {
+  const uint8_t* entry = FindEntry(image, kTracepointRun, name, error);
+  return entry != nullptr ? std::optional(DecodeTracepoint(entry)) : std::nullopt;
+}
+
+bool MmapDataset::HasSyscall(size_t image, StrId name, Status* error) const {
+  return FindEntry(image, kSyscallRun, name, error) != nullptr;
+}
+
+std::optional<PairRun> MmapDataset::PairRunAt(uint32_t begin, uint32_t count) const {
+  const V2Header::Section& pairs = header_.sections[kSecPairs];
+  uint64_t entries = pairs.size / kV2PairSize;
+  if (begin > entries || count > entries - begin) {
+    return std::nullopt;
   }
-  const uint8_t* img = ImageHeader(image_index);
+  return PairRun(data_ + pairs.offset + uint64_t{begin} * kV2PairSize, count);
+}
+
+uint64_t MmapDataset::PtRegsHashAt(size_t image) const { return LoadU64(ImageHeader(image) + 24); }
+
+std::string_view MmapDataset::ImageLabel(size_t image) const {
+  return StringViewAt(LoadU32(ImageHeader(image))).value_or(std::string_view());
+}
+
+SurfaceMeta MmapDataset::ImageMeta(size_t image) const {
+  const uint8_t* img = ImageHeader(image);
+  SurfaceMeta meta = MetaFromHeader(img);
   meta.flavor = std::string(StringViewAt(LoadU32(img + 4)).value_or(std::string_view()));
   meta.arch = std::string(StringViewAt(LoadU32(img + 8)).value_or(std::string_view()));
-  meta.version_major = LoadU16(img + 12);
-  meta.version_minor = LoadU16(img + 14);
-  meta.gcc_major = img[16];
-  meta.pointer_size = img[17];
-  meta.endian = img[18] == 1 ? Endian::kBig : Endian::kLittle;
-  meta.compat_syscalls_traceable = img[19] != 0;
-  meta.config_options = LoadU32(img + 20);
   return meta;
 }
 
-std::string MmapDataset::HealthSummaryAt(size_t image_index) const {
-  if (image_index >= image_count_) {
-    return "clean";
-  }
-  return HealthFromHeader(ImageHeader(image_index)).Summary();
-}
-
-bool MmapDataset::AnyDegradedAt(size_t image_index) const {
-  if (image_index >= image_count_) {
-    return false;
-  }
-  return HealthFromHeader(ImageHeader(image_index)).AnyDegraded();
-}
-
-std::vector<std::set<MismatchKind>> MmapDataset::CheckFunc(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
-  StrId id = LookupId(name);
-  const Section& sec = sections_[kSecFuncs];
-  const uint8_t* base = data_ + sec.offset;
-  uint64_t entries = sec.size / kV2FuncEntrySize;
-  bool have_baseline = false;
-  uint64_t baseline_hash = 0;
-  for (size_t i = 0; i < image_count_; ++i) {
-    const uint8_t* img = ImageHeader(i);
-    const uint8_t* entry =
-        id == Dataset::kNoStr
-            ? nullptr
-            : FindNamedEntry(base, entries, kV2FuncEntrySize, LoadU32(img + kImgFuncRange),
-                             LoadU32(img + kImgFuncRange + 4), id);
-    if (entry == nullptr) {
-      out[i].insert(MismatchKind::kAbsent);
-      continue;
-    }
-    uint64_t decl_hash = LoadU64(entry + 8);
-    if (!have_baseline) {
-      have_baseline = true;
-      baseline_hash = decl_hash;
-    } else if (decl_hash != baseline_hash) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-    uint8_t flags = entry[20];
-    if ((flags & kFuncFullInline) != 0) {
-      out[i].insert(MismatchKind::kFullInline);
-    }
-    if ((flags & kFuncSelectiveInline) != 0) {
-      out[i].insert(MismatchKind::kSelectiveInline);
-    }
-    if ((flags & kFuncTransformed) != 0) {
-      out[i].insert(MismatchKind::kTransformed);
-    }
-    if ((flags & kFuncDuplicated) != 0) {
-      out[i].insert(MismatchKind::kDuplicated);
-    }
-    if ((flags & kFuncCollided) != 0) {
-      out[i].insert(MismatchKind::kCollision);
-    }
-  }
-  return out;
-}
-
-std::vector<std::set<MismatchKind>> MmapDataset::CheckStruct(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
-  StrId id = LookupId(name);
-  const Section& sec = sections_[kSecStructs];
-  const Section& pairs = sections_[kSecPairs];
-  const uint8_t* base = data_ + sec.offset;
-  uint64_t entries = sec.size / kV2StructEntrySize;
-  uint64_t pair_entries = pairs.size / kV2PairSize;
-  const uint8_t* baseline = nullptr;
-  uint32_t baseline_count = 0;
-  for (size_t i = 0; i < image_count_; ++i) {
-    const uint8_t* img = ImageHeader(i);
-    const uint8_t* entry =
-        id == Dataset::kNoStr
-            ? nullptr
-            : FindNamedEntry(base, entries, kV2StructEntrySize, LoadU32(img + kImgStructRange),
-                             LoadU32(img + kImgStructRange + 4), id);
-    const uint8_t* fields = nullptr;
-    uint32_t count = 0;
-    if (entry != nullptr) {
-      uint32_t begin = LoadU32(entry + 4);
-      count = LoadU32(entry + 8);
-      if (begin <= pair_entries && count <= pair_entries - begin) {
-        fields = data_ + pairs.offset + static_cast<uint64_t>(begin) * kV2PairSize;
-      }
-    }
-    if (fields == nullptr) {
-      out[i].insert(MismatchKind::kAbsent);
-      continue;
-    }
-    if (baseline == nullptr) {
-      baseline = fields;
-      baseline_count = count;
-    } else if (count != baseline_count ||
-               std::memcmp(fields, baseline, static_cast<size_t>(count) * kV2PairSize) != 0) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-  }
-  return out;
-}
-
-std::vector<std::set<MismatchKind>> MmapDataset::CheckField(const std::string& struct_name,
-                                                            const std::string& field_name,
-                                                            const std::string& expected_type,
-                                                            bool guarded) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
-  StrId sid = LookupId(struct_name);
-  StrId fid = LookupId(field_name);
-  StrId expected = expected_type.empty() ? Dataset::kNoStr : LookupId(expected_type);
-  bool expectation_fixed = !expected_type.empty();
-  const Section& sec = sections_[kSecStructs];
-  const Section& pairs = sections_[kSecPairs];
-  const uint8_t* base = data_ + sec.offset;
-  uint64_t entries = sec.size / kV2StructEntrySize;
-  uint64_t pair_entries = pairs.size / kV2PairSize;
-  for (size_t i = 0; i < image_count_; ++i) {
-    const uint8_t* img = ImageHeader(i);
-    const uint8_t* entry =
-        sid == Dataset::kNoStr || fid == Dataset::kNoStr
-            ? nullptr
-            : FindNamedEntry(base, entries, kV2StructEntrySize, LoadU32(img + kImgStructRange),
-                             LoadU32(img + kImgStructRange + 4), sid);
-    const uint8_t* field = nullptr;
-    if (entry != nullptr) {
-      uint32_t begin = LoadU32(entry + 4);
-      uint32_t count = LoadU32(entry + 8);
-      if (begin <= pair_entries && count <= pair_entries - begin) {
-        // Field pairs are sorted by name id inside the struct's slice.
-        field = FindNamedEntry(data_ + pairs.offset, pair_entries, kV2PairSize, begin, count,
-                               fid);
-      }
-    }
-    if (field == nullptr) {
-      if (!guarded) {
-        out[i].insert(MismatchKind::kAbsent);
-      }
-      continue;
-    }
-    uint32_t actual = LoadU32(field + 4);
-    if (expected == Dataset::kNoStr && !expectation_fixed) {
-      expected = actual;  // baseline fallback
-    } else if (actual != expected) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-  }
-  return out;
-}
-
-std::vector<std::set<MismatchKind>> MmapDataset::CheckTracepoint(const std::string& event) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
-  StrId id = LookupId(event);
-  const Section& sec = sections_[kSecTracepoints];
-  const Section& pairs = sections_[kSecPairs];
-  const uint8_t* base = data_ + sec.offset;
-  uint64_t entries = sec.size / kV2TracepointEntrySize;
-  uint64_t pair_entries = pairs.size / kV2PairSize;
-  auto pair_range = [&](uint32_t begin, uint32_t count) -> const uint8_t* {
-    if (begin > pair_entries || count > pair_entries - begin) {
-      return nullptr;
-    }
-    return data_ + pairs.offset + static_cast<uint64_t>(begin) * kV2PairSize;
-  };
-  const uint8_t* baseline_params = nullptr;
-  const uint8_t* baseline_fields = nullptr;
-  uint32_t baseline_params_count = 0;
-  uint32_t baseline_fields_count = 0;
-  for (size_t i = 0; i < image_count_; ++i) {
-    const uint8_t* img = ImageHeader(i);
-    const uint8_t* entry =
-        id == Dataset::kNoStr
-            ? nullptr
-            : FindNamedEntry(base, entries, kV2TracepointEntrySize,
-                             LoadU32(img + kImgTracepointRange),
-                             LoadU32(img + kImgTracepointRange + 4), id);
-    const uint8_t* params = nullptr;
-    const uint8_t* fields = nullptr;
-    uint32_t params_count = 0;
-    uint32_t fields_count = 0;
-    if (entry != nullptr) {
-      params_count = LoadU32(entry + 8);
-      fields_count = LoadU32(entry + 16);
-      params = pair_range(LoadU32(entry + 4), params_count);
-      fields = pair_range(LoadU32(entry + 12), fields_count);
-    }
-    if (params == nullptr || fields == nullptr) {
-      out[i].insert(MismatchKind::kAbsent);
-      continue;
-    }
-    if (baseline_params == nullptr) {
-      baseline_params = params;
-      baseline_fields = fields;
-      baseline_params_count = params_count;
-      baseline_fields_count = fields_count;
-    } else if (params_count != baseline_params_count || fields_count != baseline_fields_count ||
-               std::memcmp(params, baseline_params,
-                           static_cast<size_t>(params_count) * kV2PairSize) != 0 ||
-               std::memcmp(fields, baseline_fields,
-                           static_cast<size_t>(fields_count) * kV2PairSize) != 0) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-  }
-  return out;
-}
-
-std::vector<std::set<MismatchKind>> MmapDataset::CheckSyscall(const std::string& name) const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
-  StrId id = LookupId(name);
-  const Section& sec = sections_[kSecSyscalls];
-  const uint8_t* base = data_ + sec.offset;
-  uint64_t entries = sec.size / 4;
-  for (size_t i = 0; i < image_count_; ++i) {
-    const uint8_t* img = ImageHeader(i);
-    bool present =
-        id != Dataset::kNoStr &&
-        FindNamedEntry(base, entries, 4, LoadU32(img + kImgSyscallRange),
-                       LoadU32(img + kImgSyscallRange + 4), id) != nullptr;
-    if (!present) {
-      out[i].insert(MismatchKind::kAbsent);
-    }
-    // Compat (32-bit) traceability is a per-image property reported by the
-    // configuration analysis (Table 5), not a per-dependency mismatch.
-  }
-  return out;
-}
-
-std::vector<std::set<MismatchKind>> MmapDataset::CheckRegisters() const {
-  std::vector<std::set<MismatchKind>> out(image_count_);
-  if (image_count_ == 0) {
-    return out;
-  }
-  uint64_t baseline = LoadU64(ImageHeader(0) + 24);
-  for (size_t i = 1; i < image_count_; ++i) {
-    if (LoadU64(ImageHeader(i) + 24) != baseline) {
-      out[i].insert(MismatchKind::kChanged);
-    }
-  }
-  return out;
-}
-
-std::optional<std::string_view> MmapDataset::FuncDeclAt(const std::string& name,
-                                                        size_t image_index) const {
-  if (image_index >= image_count_) {
-    return std::nullopt;
-  }
-  StrId id = LookupId(name);
-  if (id == Dataset::kNoStr) {
-    return std::nullopt;
-  }
-  const Section& sec = sections_[kSecFuncs];
-  const uint8_t* img = ImageHeader(image_index);
-  const uint8_t* entry =
-      FindNamedEntry(data_ + sec.offset, sec.size / kV2FuncEntrySize, kV2FuncEntrySize,
-                     LoadU32(img + kImgFuncRange), LoadU32(img + kImgFuncRange + 4), id);
-  if (entry == nullptr) {
-    return std::nullopt;
-  }
-  uint32_t decl = LoadU32(entry + 4);
-  if (decl == Dataset::kNoStr) {
-    return std::nullopt;
-  }
-  return StringViewAt(decl);
-}
-
-std::optional<std::string_view> MmapDataset::FieldTypeAt(const std::string& struct_name,
-                                                         const std::string& field_name,
-                                                         size_t image_index) const {
-  if (image_index >= image_count_) {
-    return std::nullopt;
-  }
-  StrId sid = LookupId(struct_name);
-  StrId fid = LookupId(field_name);
-  if (sid == Dataset::kNoStr || fid == Dataset::kNoStr) {
-    return std::nullopt;
-  }
-  const Section& sec = sections_[kSecStructs];
-  const Section& pairs = sections_[kSecPairs];
-  const uint8_t* img = ImageHeader(image_index);
-  const uint8_t* entry =
-      FindNamedEntry(data_ + sec.offset, sec.size / kV2StructEntrySize, kV2StructEntrySize,
-                     LoadU32(img + kImgStructRange), LoadU32(img + kImgStructRange + 4), sid);
-  if (entry == nullptr) {
-    return std::nullopt;
-  }
-  uint64_t pair_entries = pairs.size / kV2PairSize;
-  uint32_t begin = LoadU32(entry + 4);
-  uint32_t count = LoadU32(entry + 8);
-  if (begin > pair_entries || count > pair_entries - begin) {
-    return std::nullopt;
-  }
-  const uint8_t* field =
-      FindNamedEntry(data_ + pairs.offset, pair_entries, kV2PairSize, begin, count, fid);
-  if (field == nullptr) {
-    return std::nullopt;
-  }
-  return StringViewAt(LoadU32(field + 4));
+SurfaceHealth MmapDataset::ImageHealth(size_t image) const {
+  return HealthFromHeader(ImageHeader(image));
 }
 
 // ---------------------------------------------------------------------------
@@ -1179,18 +986,14 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
   DEPSURF_RETURN_IF_ERROR(ParseV2Header(bytes.data(), bytes.size(), &header));
   const uint8_t* data = bytes.data();
   const uint32_t num_strings = header.string_count;
-  auto [offsets_off, offsets_size] = header.sections[kSecStringOffsets];
-  auto [blob_off, blob_size] = header.sections[kSecStringBlob];
   Dataset dataset;
-  dataset.pool_.Reserve(num_strings, blob_size);
+  dataset.pool_.Reserve(num_strings, header.sections[kSecStringBlob].size);
   for (uint32_t i = 0; i < num_strings; ++i) {
-    uint64_t begin = LoadU64(data + offsets_off + static_cast<uint64_t>(i) * 8);
-    uint64_t end = LoadU64(data + offsets_off + (static_cast<uint64_t>(i) + 1) * 8);
-    if (begin >= end || end > blob_size || data[blob_off + end - 1] != '\0') {
+    std::optional<std::string_view> s = V2String(data, header, i);
+    if (!s.has_value()) {
       return Error(ErrorCode::kMalformedData, "v2 string table entry corrupt");
     }
-    std::string_view s(reinterpret_cast<const char*>(data + blob_off + begin), end - begin - 1);
-    if (dataset.Intern(s) != i) {
+    if (dataset.Intern(*s) != i) {
       return Error(ErrorCode::kMalformedData, "duplicate string in pool");
     }
   }
@@ -1199,12 +1002,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
   // Strict walk of the raw sections (the lazy mmap accessors degrade on
   // corruption; a full parse must reject it instead). The pair section is
   // copied whole, so records keep their file ranges into it.
-  auto [funcs_off, funcs_size] = header.sections[kSecFuncs];
-  auto [structs_off, structs_size] = header.sections[kSecStructs];
-  auto [tps_off, tps_size] = header.sections[kSecTracepoints];
-  auto [sys_off, sys_size] = header.sections[kSecSyscalls];
   auto [pairs_off, pairs_size] = header.sections[kSecPairs];
-  auto [diags_off, diags_size] = header.sections[kSecDiags];
   const uint64_t pair_entries = pairs_size / kV2PairSize;
   dataset.pairs_.resize(pair_entries);
   for (uint64_t i = 0; i < pair_entries; ++i) {
@@ -1222,13 +1020,14 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     }
     return Status::Ok();
   };
-  auto check_range = [](uint32_t begin, uint32_t count, uint64_t total,
-                        const char* what) -> Status {
-    if (begin > total || count > total - begin) {
-      return Status(ErrorCode::kMalformedData,
-                    std::string("v2 ") + what + " range beyond section");
+  auto run_of = [&](const uint8_t* img,
+                    RunKind run) -> Result<std::pair<const uint8_t*, uint32_t>> {
+    auto entries = RunOf(data, header, img, run);
+    if (!entries.has_value()) {
+      return Error(ErrorCode::kMalformedData,
+                   std::string("v2 ") + kRunLayouts[run].what + " range beyond section");
     }
-    return Status::Ok();
+    return *entries;
   };
   auto required_string = [&](uint32_t id, const char* what) -> Result<std::string> {
     if (id >= num_strings) {
@@ -1239,80 +1038,54 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
 
   dataset.images_.reserve(header.image_count);
   for (uint32_t image_index = 0; image_index < header.image_count; ++image_index) {
-    const uint8_t* img = data + header.sections[kSecImages].first +
+    const uint8_t* img = data + header.sections[kSecImages].offset +
                          static_cast<uint64_t>(image_index) * kV2ImageHeaderSize;
     ImageRecord image;
+    image.meta = MetaFromHeader(img);
     DEPSURF_ASSIGN_OR_RETURN(label, required_string(LoadU32(img), "label"));
     image.label = std::move(label);
     DEPSURF_ASSIGN_OR_RETURN(flavor, required_string(LoadU32(img + 4), "flavor"));
     image.meta.flavor = std::move(flavor);
     DEPSURF_ASSIGN_OR_RETURN(arch, required_string(LoadU32(img + 8), "arch"));
     image.meta.arch = std::move(arch);
-    image.meta.version_major = LoadU16(img + 12);
-    image.meta.version_minor = LoadU16(img + 14);
-    image.meta.gcc_major = img[16];
-    image.meta.pointer_size = img[17];
-    image.meta.endian = img[18] == 1 ? Endian::kBig : Endian::kLittle;
-    image.meta.compat_syscalls_traceable = img[19] != 0;
     image.compat_syscalls_traceable = image.meta.compat_syscalls_traceable;
-    image.meta.config_options = LoadU32(img + 20);
     image.pt_regs_hash = LoadU64(img + 24);
     for (size_t h = 0; h < 5; ++h) {
       if (img[32 + h] > static_cast<uint8_t>(DegradationState::kMissing)) {
         return Error(ErrorCode::kMalformedData, "bad degradation state");
       }
     }
-    image.health.elf = static_cast<DegradationState>(img[32]);
-    image.health.dwarf = static_cast<DegradationState>(img[33]);
-    image.health.btf = static_cast<DegradationState>(img[34]);
-    image.health.tracepoint = static_cast<DegradationState>(img[35]);
-    image.health.syscall = static_cast<DegradationState>(img[36]);
+    image.health = HealthFromHeader(img);
 
-    uint32_t func_begin = LoadU32(img + kImgFuncRange);
-    uint32_t func_count = LoadU32(img + kImgFuncRange + 4);
-    DEPSURF_RETURN_IF_ERROR(
-        check_range(func_begin, func_count, funcs_size / kV2FuncEntrySize, "function"));
-    image.funcs.reserve(func_count);
-    for (uint32_t i = 0; i < func_count; ++i) {
-      const uint8_t* e =
-          data + funcs_off + (static_cast<uint64_t>(func_begin) + i) * kV2FuncEntrySize;
-      FuncRecord record;
-      record.name = LoadU32(e);
+    DEPSURF_ASSIGN_OR_RETURN(funcs, run_of(img, kFuncRun));
+    image.funcs.reserve(funcs.second);
+    for (uint32_t i = 0; i < funcs.second; ++i) {
+      const uint8_t* e = funcs.first + uint64_t{i} * kV2FuncEntrySize;
+      FuncRecord record = DecodeFunc(e);
       if (record.name >= num_strings) {
         return Error(ErrorCode::kMalformedData, "function name id out of range");
       }
-      record.decl = LoadU32(e + 4);
-      if (record.decl != Dataset::kNoStr && record.decl >= num_strings) {
+      if (record.decl != kNoStrId && record.decl >= num_strings) {
         return Error(ErrorCode::kMalformedData, "decl id out of range");
       }
       uint32_t suffix = LoadU32(e + 16);
-      if (suffix != Dataset::kNoStr && suffix >= num_strings) {
+      if (suffix != kNoStrId && suffix >= num_strings) {
         return Error(ErrorCode::kMalformedData, "suffix id out of range");
       }
-      if (suffix != Dataset::kNoStr && !dataset.StringAt(suffix).empty()) {
+      if (suffix != kNoStrId && !dataset.StringAt(suffix).empty()) {
         record.suffix = dataset.suffixes_.Intern(dataset.StringAt(suffix));
       }
-      record.decl_hash = LoadU64(e + 8);
-      record.flags = e[20] & kFuncFlagMask;
       DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.funcs, record.name, "function"));
       image.funcs.push_back(record);
     }
 
-    uint32_t struct_begin = LoadU32(img + kImgStructRange);
-    uint32_t struct_count = LoadU32(img + kImgStructRange + 4);
-    DEPSURF_RETURN_IF_ERROR(
-        check_range(struct_begin, struct_count, structs_size / kV2StructEntrySize, "struct"));
-    image.structs.reserve(struct_count);
-    for (uint32_t i = 0; i < struct_count; ++i) {
-      const uint8_t* e =
-          data + structs_off + (static_cast<uint64_t>(struct_begin) + i) * kV2StructEntrySize;
-      StructRecord record;
-      record.name = LoadU32(e);
+    DEPSURF_ASSIGN_OR_RETURN(structs, run_of(img, kStructRun));
+    image.structs.reserve(structs.second);
+    for (uint32_t i = 0; i < structs.second; ++i) {
+      StructRecord record = DecodeStruct(structs.first + uint64_t{i} * kV2StructEntrySize);
       if (record.name >= num_strings) {
         return Error(ErrorCode::kMalformedData, "struct name id out of range");
       }
-      record.fields_begin = LoadU32(e + 4);
-      record.fields_count = LoadU32(e + 8);
       DEPSURF_RETURN_IF_ERROR(check_pairs(record.fields_begin, record.fields_count));
       DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.structs, record.name, "struct"));
       DEPSURF_RETURN_IF_ERROR(
@@ -1320,35 +1093,24 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
       image.structs.push_back(record);
     }
 
-    uint32_t tp_begin = LoadU32(img + kImgTracepointRange);
-    uint32_t tp_count = LoadU32(img + kImgTracepointRange + 4);
-    DEPSURF_RETURN_IF_ERROR(
-        check_range(tp_begin, tp_count, tps_size / kV2TracepointEntrySize, "tracepoint"));
-    image.tracepoints.reserve(tp_count);
-    for (uint32_t i = 0; i < tp_count; ++i) {
-      const uint8_t* e =
-          data + tps_off + (static_cast<uint64_t>(tp_begin) + i) * kV2TracepointEntrySize;
-      TracepointRecord record;
-      record.name = LoadU32(e);
+    DEPSURF_ASSIGN_OR_RETURN(tps, run_of(img, kTracepointRun));
+    image.tracepoints.reserve(tps.second);
+    for (uint32_t i = 0; i < tps.second; ++i) {
+      TracepointRecord record =
+          DecodeTracepoint(tps.first + uint64_t{i} * kV2TracepointEntrySize);
       if (record.name >= num_strings) {
         return Error(ErrorCode::kMalformedData, "tracepoint name id out of range");
       }
-      record.params_begin = LoadU32(e + 4);
-      record.params_count = LoadU32(e + 8);
-      record.fields_begin = LoadU32(e + 12);
-      record.fields_count = LoadU32(e + 16);
       DEPSURF_RETURN_IF_ERROR(check_pairs(record.params_begin, record.params_count));
       DEPSURF_RETURN_IF_ERROR(check_pairs(record.fields_begin, record.fields_count));
       DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.tracepoints, record.name, "tracepoint"));
       image.tracepoints.push_back(record);
     }
 
-    uint32_t sys_begin = LoadU32(img + kImgSyscallRange);
-    uint32_t sys_count = LoadU32(img + kImgSyscallRange + 4);
-    DEPSURF_RETURN_IF_ERROR(check_range(sys_begin, sys_count, sys_size / 4, "syscall"));
-    image.syscalls.reserve(sys_count);
-    for (uint32_t i = 0; i < sys_count; ++i) {
-      uint32_t id = LoadU32(data + sys_off + (static_cast<uint64_t>(sys_begin) + i) * 4);
+    DEPSURF_ASSIGN_OR_RETURN(syscalls, run_of(img, kSyscallRun));
+    image.syscalls.reserve(syscalls.second);
+    for (uint32_t i = 0; i < syscalls.second; ++i) {
+      uint32_t id = LoadU32(syscalls.first + uint64_t{i} * 4);
       if (id >= num_strings) {
         return Error(ErrorCode::kMalformedData, "syscall id out of range");
       }
@@ -1356,13 +1118,9 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
       image.syscalls.push_back(id);
     }
 
-    uint32_t diag_begin = LoadU32(img + kImgDiagRange);
-    uint32_t diag_count = LoadU32(img + kImgDiagRange + 4);
-    DEPSURF_RETURN_IF_ERROR(
-        check_range(diag_begin, diag_count, diags_size / kV2DiagEntrySize, "diagnostic"));
-    for (uint32_t i = 0; i < diag_count; ++i) {
-      const uint8_t* e =
-          data + diags_off + (static_cast<uint64_t>(diag_begin) + i) * kV2DiagEntrySize;
+    DEPSURF_ASSIGN_OR_RETURN(diags, run_of(img, kDiagRun));
+    for (uint32_t i = 0; i < diags.second; ++i) {
+      const uint8_t* e = diags.first + uint64_t{i} * kV2DiagEntrySize;
       uint32_t message = LoadU32(e);
       if (message >= num_strings) {
         return Error(ErrorCode::kMalformedData, "diagnostic message id out of range");
@@ -1400,30 +1158,23 @@ Result<OpenedDataset> OpenDatasetView(const std::string& path) {
   if (!in) {
     return Error(ErrorCode::kIoError, "cannot open " + path);
   }
-  uint8_t magic_bytes[4] = {0, 0, 0, 0};
-  in.read(reinterpret_cast<char*>(magic_bytes), 4);
-  if (in.gcount() != 4) {
-    return Error(ErrorCode::kMalformedData, path + ": not a depsurf dataset (too short)");
+  std::vector<uint8_t> magic(4);
+  in.read(reinterpret_cast<char*>(magic.data()), 4);
+  magic.resize(static_cast<size_t>(in.gcount()));
+  Result<int> format = DatasetFormatVersion(magic);
+  if (!format.ok()) {
+    return format.TakeError().Wrap(path);
   }
-  uint32_t magic = LoadU32(magic_bytes);
   OpenedDataset opened;
-  if (magic == kDatasetMagicV2) {
-    in.close();
+  opened.format = *format;
+  if (opened.format == 2) {
     DEPSURF_ASSIGN_OR_RETURN(view, MmapDataset::Open(path));
-    opened.format = 2;
-    opened.images = view.num_images();
     opened.view = std::make_unique<MmapDataset>(std::move(view));
-    return opened;
+  } else {
+    DEPSURF_ASSIGN_OR_RETURN(bytes, ReadFileBytes(path));
+    DEPSURF_ASSIGN_OR_RETURN(dataset, LoadDataset(bytes));
+    opened.view = std::make_unique<Dataset>(std::move(dataset));
   }
-  if (magic != kDatasetMagic) {
-    return Error(ErrorCode::kMalformedData, path + ": not a depsurf dataset (bad magic)");
-  }
-  in.close();
-  DEPSURF_ASSIGN_OR_RETURN(bytes, ReadFileBytes(path));
-  DEPSURF_ASSIGN_OR_RETURN(dataset, LoadDataset(bytes));
-  opened.format = 1;
-  opened.images = dataset.num_images();
-  opened.view = std::make_unique<Dataset>(std::move(dataset));
   return opened;
 }
 

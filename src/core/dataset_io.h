@@ -14,6 +14,7 @@
 #ifndef DEPSURF_SRC_CORE_DATASET_IO_H_
 #define DEPSURF_SRC_CORE_DATASET_IO_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -53,80 +54,80 @@ Result<Dataset> LoadAnyDataset(const std::vector<uint8_t>& bytes);
 // 1 or 2; kMalformedData when the buffer carries neither magic.
 Result<int> DatasetFormatVersion(const std::vector<uint8_t>& bytes);
 
+// The header and section table of a `.dds` v2 buffer, as validated by
+// MmapDataset and LoadDatasetV2 (docs/FORMATS.md §6a).
+struct V2Header {
+  struct Section {
+    uint64_t offset = 0;
+    uint64_t size = 0;
+  };
+  uint32_t image_count = 0;
+  uint32_t string_count = 0;
+  Section sections[11];  // by section kind, 1..10
+};
+
 // Zero-copy read view over a `.dds` v2 file. Open() maps the file and
 // validates the header + section table once (O(sections)); every query then
-// touches only the pages its lookups land on. Record accessors re-check
-// bounds on every access, so a truncated or bit-flipped file degrades to
-// "absent" answers instead of crashing — corruption found at open time is
-// reported as an error, corruption found later yields empty views.
+// touches only the pages its lookups land on. The view supplies the record
+// interface of dataset_view.h by decoding entries in place:
+//  - Bounds are re-checked on every access, so a range outside its section
+//    reads as "no record" and a truncated or bit-flipped file never crashes.
+//  - Each binary-searched run is checked once, on first use: an image's
+//    function, struct (with each struct's field pairs), tracepoint and
+//    syscall runs, and the sorted string index. A run that breaks its order
+//    makes every query that reaches it report the message LoadDatasetV2
+//    gives for the same bytes (e.g. "function name ids not strictly
+//    ascending"), never an answer. The verdicts are atomics, so concurrent
+//    queries may race to compute them.
 class MmapDataset : public DatasetView {
  public:
   static Result<MmapDataset> Open(const std::string& path);
   // Adopts an in-memory buffer instead of a file mapping (tests, sockets).
   static Result<MmapDataset> FromBytes(std::vector<uint8_t> bytes);
 
-  MmapDataset(MmapDataset&& other) noexcept;
-  MmapDataset& operator=(MmapDataset&& other) noexcept;
-  MmapDataset(const MmapDataset&) = delete;
-  MmapDataset& operator=(const MmapDataset&) = delete;
-  ~MmapDataset() override;
-
-  size_t num_images() const override { return image_count_; }
-  std::vector<std::string> labels() const override;
-  SurfaceMeta MetaAt(size_t image_index) const override;
-  std::string HealthSummaryAt(size_t image_index) const override;
-  bool AnyDegradedAt(size_t image_index) const override;
-
-  std::vector<std::set<MismatchKind>> CheckFunc(const std::string& name) const override;
-  std::vector<std::set<MismatchKind>> CheckStruct(const std::string& name) const override;
-  std::vector<std::set<MismatchKind>> CheckField(const std::string& struct_name,
-                                                 const std::string& field_name,
-                                                 const std::string& expected_type,
-                                                 bool guarded) const override;
-  std::vector<std::set<MismatchKind>> CheckTracepoint(const std::string& event) const override;
-  std::vector<std::set<MismatchKind>> CheckSyscall(const std::string& name) const override;
-  std::vector<std::set<MismatchKind>> CheckRegisters() const override;
-
-  std::optional<std::string_view> FuncDeclAt(const std::string& name,
-                                             size_t image_index) const override;
-  std::optional<std::string_view> FieldTypeAt(const std::string& struct_name,
-                                              const std::string& field_name,
-                                              size_t image_index) const override;
-
-  // Interned-pool introspection (stats/debugging).
-  uint32_t string_count() const { return string_count_; }
-  size_t byte_size() const { return size_; }
-  // Zero-copy string view; nullopt for out-of-range ids or corrupt offsets.
-  std::optional<std::string_view> StringViewAt(StrId id) const;
-  // Binary search over the lexicographically sorted id index.
-  StrId LookupId(std::string_view s) const;
+  size_t num_images() const override { return header_.image_count; }
 
  private:
-  struct Section {
-    uint64_t offset = 0;
-    uint64_t size = 0;
-  };
-
   MmapDataset() = default;
   Status Attach(const uint8_t* data, size_t size);
   const uint8_t* ImageHeader(size_t image_index) const;
-  const Section& SectionOf(uint32_t kind) const { return sections_[kind]; }
+  // The entry named `name` in one image's run of a kind (dataset_io.cc),
+  // once the run checks out.
+  const uint8_t* FindEntry(size_t image, size_t run, StrId name, Status* error) const;
+  // The memoized check of one run or of the string index (a verdict code).
+  uint8_t CheckRun(size_t image, size_t run) const;
+  uint8_t CheckIndex() const;
 
-  const uint8_t* data_ = nullptr;
-  size_t size_ = 0;
-  void* map_base_ = nullptr;  // non-null when backed by mmap
-  size_t map_len_ = 0;
-  std::vector<uint8_t> owned_;  // non-empty when backed by FromBytes
-  uint32_t image_count_ = 0;
-  uint32_t string_count_ = 0;
-  std::vector<Section> sections_;  // indexed by section kind (1..10)
+  StrId LookupId(std::string_view text, Status* error) const override;
+  std::optional<std::string_view> StringViewAt(StrId id) const override;
+  std::optional<FuncRecord> FindFunc(size_t image, StrId name, Status* error) const override;
+  std::optional<StructRecord> FindStruct(size_t image, StrId name, Status* error) const override;
+  std::optional<TracepointRecord> FindTracepoint(size_t image, StrId name,
+                                                 Status* error) const override;
+  bool HasSyscall(size_t image, StrId name, Status* error) const override;
+  std::optional<PairRun> PairRunAt(uint32_t begin, uint32_t count) const override;
+  uint64_t PtRegsHashAt(size_t image) const override;
+  std::string_view ImageLabel(size_t image) const override;
+  SurfaceMeta ImageMeta(size_t image) const override;
+  SurfaceHealth ImageHealth(size_t image) const override;
+
+  struct Unmap {
+    size_t length;
+    void operator()(void* base) const;
+  };
+
+  const uint8_t* data_ = nullptr;  // into mapping_ or owned_ (moves keep it valid)
+  std::unique_ptr<void, Unmap> mapping_;  // set when backed by mmap
+  std::vector<uint8_t> owned_;            // set when backed by FromBytes
+  V2Header header_;
+  // Verdicts: one per (image, searched run kind), then the string index.
+  std::unique_ptr<std::atomic<uint8_t>[]> verdicts_;
 };
 
 // A dataset opened for querying, either format: v1 loads fully, v2 maps.
 struct OpenedDataset {
   std::unique_ptr<DatasetView> view;
   int format = 1;
-  size_t images = 0;
 };
 Result<OpenedDataset> OpenDatasetView(const std::string& path);
 

@@ -358,18 +358,18 @@ ProgramReport AnalyzeProgram(const DatasetView& dataset, const DependencySet& de
   }
 
   for (const std::string& func : deps.funcs) {
-    ReportRow row{DepKind::kFunc, func, dataset.CheckFunc(func)};
+    ReportRow row{DepKind::kFunc, func, dataset.CheckFunc(func, &report.status)};
     Tally(report.funcs, row);
     report.rows.push_back(std::move(row));
   }
   // LSM hooks are functions on the surface.
   for (const std::string& hook : deps.lsm_hooks) {
-    ReportRow row{DepKind::kFunc, hook, dataset.CheckFunc(hook)};
+    ReportRow row{DepKind::kFunc, hook, dataset.CheckFunc(hook, &report.status)};
     Tally(report.funcs, row);
     report.rows.push_back(std::move(row));
   }
   for (const auto& [struct_name, field_map] : deps.fields) {
-    ReportRow srow{DepKind::kStruct, struct_name, dataset.CheckStruct(struct_name)};
+    ReportRow srow{DepKind::kStruct, struct_name, dataset.CheckStruct(struct_name, &report.status)};
     // Struct-level cells report only absence; definition changes are
     // attributed to the specific fields below.
     for (auto& cell : srow.cells) {
@@ -380,18 +380,18 @@ ProgramReport AnalyzeProgram(const DatasetView& dataset, const DependencySet& de
     for (const auto& [field_name, dep] : field_map) {
       ReportRow frow{DepKind::kField, struct_name + "::" + field_name,
                      dataset.CheckField(struct_name, field_name, dep.expected_type,
-                                        dep.guarded)};
+                                        dep.guarded, &report.status)};
       Tally(report.fields, frow);
       report.rows.push_back(std::move(frow));
     }
   }
   for (const std::string& event : deps.tracepoints) {
-    ReportRow row{DepKind::kTracepoint, event, dataset.CheckTracepoint(event)};
+    ReportRow row{DepKind::kTracepoint, event, dataset.CheckTracepoint(event, &report.status)};
     Tally(report.tracepoints, row);
     report.rows.push_back(std::move(row));
   }
   for (const std::string& syscall : deps.syscalls) {
-    ReportRow row{DepKind::kSyscall, syscall, dataset.CheckSyscall(syscall)};
+    ReportRow row{DepKind::kSyscall, syscall, dataset.CheckSyscall(syscall, &report.status)};
     Tally(report.syscalls, row);
     report.rows.push_back(std::move(row));
   }

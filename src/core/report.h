@@ -84,6 +84,9 @@ struct ProgramReport {
   CategoryCounts fields;
   CategoryCounts tracepoints;
   CategoryCounts syscalls;
+  // Not ok when a record run the analysis reached failed its integrity
+  // check (a malformed mapped `.dds` v2 file); the rows are then no answer.
+  Status status;
 
   bool AnyMismatch() const;
   // True when any column's surface was salvaged rather than clean.

@@ -89,7 +89,6 @@ Result<ServeEngine> ServeEngine::Open(const std::vector<std::string>& dataset_pa
     DatasetEntry entry;
     entry.path = path;
     entry.format = opened.value().format;
-    entry.images = opened.value().images;
     entry.view = std::move(opened.value().view);
     engine.datasets_.push_back(std::move(entry));
   }
@@ -255,12 +254,17 @@ ServeEngine::RequestOutcome ServeEngine::Answer(const DependencySet& deps) const
     for (size_t d = 0; d < datasets_.size(); ++d) {
       const DatasetEntry& entry = datasets_[d];
       ProgramReport report = AnalyzeProgram(*entry.view, deps);
+      if (!report.status.ok()) {
+        RequestOutcome failed;
+        failed.error = entry.path + ": " + report.status.error().message();
+        return failed;
+      }
       if (d != 0) {
         results += ",";
       }
       results += "{\"dataset\": \"" + obs::JsonEscape(entry.path) + "\", \"format\": \"v";
       results += entry.format == 2 ? "2" : "1";
-      results += StrFormat("\", \"images\": %zu, \"any_mismatch\": %s", entry.images,
+      results += StrFormat("\", \"images\": %zu, \"any_mismatch\": %s", entry.view->num_images(),
                            report.AnyMismatch() ? "true" : "false");
       results += ", \"worst_implication\": \"";
       results += obs::JsonEscape(ImplicationName(report.WorstImplication()));
@@ -325,6 +329,16 @@ std::vector<std::string> ServeEngine::HandleBatch(const std::vector<std::string>
     Pending pending = std::move(in_flight.front());
     in_flight.pop_front();
     ++requests_;
+    std::string body;
+    if (!pending.cached_body.empty()) {
+      body = std::move(pending.cached_body);
+    } else if (!pending.error) {
+      std::shared_ptr<RequestOutcome> outcome = pending.future.get();
+      pending.error = !outcome->error.empty();
+      pending.error_text = outcome->error;
+      body = outcome->body;
+      batch_rows += outcome->rows;
+    }
     if (pending.error) {
       ++errors_;
       ++batch_errors;
@@ -332,14 +346,6 @@ std::vector<std::string> ServeEngine::HandleBatch(const std::vector<std::string>
                                  ", \"ok\": false, \"error\": \"" +
                                  obs::JsonEscape(pending.error_text) + "\"}";
       return;
-    }
-    std::string body;
-    if (!pending.cached_body.empty()) {
-      body = std::move(pending.cached_body);
-    } else {
-      std::shared_ptr<RequestOutcome> outcome = pending.future.get();
-      body = outcome->body;
-      batch_rows += outcome->rows;
     }
     if (pending.hit) {
       ++hits_;
@@ -415,7 +421,7 @@ std::string ServeEngine::ReportJson() const {
     }
     out += "\n  {\"path\": \"" + obs::JsonEscape(datasets_[i].path) + "\", \"format\": \"v";
     out += datasets_[i].format == 2 ? "2" : "1";
-    out += StrFormat("\", \"images\": %zu}", datasets_[i].images);
+    out += StrFormat("\", \"images\": %zu}", datasets_[i].view->num_images());
   }
   out += "\n],\n";
   out += StrFormat("\"requests\": %llu,\n\"ok\": %llu,\n\"errors\": %llu,\n",

@@ -77,11 +77,11 @@ class ServeEngine {
   struct DatasetEntry {
     std::string path;
     int format = 1;
-    size_t images = 0;
     std::unique_ptr<DatasetView> view;
   };
   struct RequestOutcome {
-    std::string body;  // response fragment after the cache marker
+    std::string body;   // response fragment after the cache marker
+    std::string error;  // non-empty: a dataset failed its checks (never cached)
     uint64_t rows = 0;
     uint64_t mismatch_rows = 0;
   };

@@ -19,6 +19,8 @@
 #include "src/kernelgen/image_builder.h"
 #include "src/kernelgen/rates.h"
 #include "src/kernelgen/scripted.h"
+#include "src/obs/run_report.h"
+#include "src/serve/serve.h"
 #include "src/util/byte_buffer.h"
 #include "src/util/leb128.h"
 #include "src/util/prng.h"
@@ -205,21 +207,21 @@ std::string Render(const std::optional<std::string_view>& text) {
   return text.has_value() ? "=" + std::string(*text) : "none";
 }
 
-// One line per query, for every query DatasetView offers.
+// One line per query, for every query DatasetView offers. Per-image queries
+// also run at the index one past the last image, which answers defaults.
 std::vector<std::string> Transcript(const DatasetView& view, const QueryNames& q) {
   std::vector<std::string> out;
   out.push_back("labels " + JoinStrings(view.labels(), ","));
-  for (size_t i = 0; i < view.num_images(); ++i) {
+  for (size_t i = 0; i <= view.num_images(); ++i) {
     SurfaceMeta m = view.MetaAt(i);
-    out.push_back(StrFormat("meta %zu v%d.%d %s %s gcc%d cfg%u %s %d", i, m.version_major,
+    out.push_back(StrFormat("meta %zu v%d.%d %s %s gcc%d cfg%u %s", i, m.version_major,
                             m.version_minor, m.arch.c_str(), m.flavor.c_str(), m.gcc_major,
-                            m.config_options, view.HealthSummaryAt(i).c_str(),
-                            view.AnyDegradedAt(i) ? 1 : 0));
+                            m.config_options, view.HealthSummaryAt(i).c_str()));
   }
   out.push_back("registers " + Render(view.CheckRegisters()));
   for (const std::string& name : q.names) {
     std::string decls;
-    for (size_t i = 0; i < view.num_images(); ++i) {
+    for (size_t i = 0; i <= view.num_images(); ++i) {
       decls += Render(view.FuncDeclAt(name, i)) + ";";
     }
     out.push_back(name + " func " + Render(view.CheckFunc(name)) + " " + decls);
@@ -229,7 +231,7 @@ std::vector<std::string> Transcript(const DatasetView& view, const QueryNames& q
   }
   for (const auto& [st, field, type] : q.fields) {
     std::string types;
-    for (size_t i = 0; i < view.num_images(); ++i) {
+    for (size_t i = 0; i <= view.num_images(); ++i) {
       types += Render(view.FieldTypeAt(st, field, i)) + ";";
     }
     out.push_back(st + "." + field + " " + Render(view.CheckField(st, field, type, false)) +
@@ -286,6 +288,25 @@ TEST(DatasetV2Test, MmapViewMatchesV1LoadOverLtsCorpus) {
   ProgramReport b = AnalyzeProgram(*v2, deps);
   EXPECT_EQ(a.RenderMatrix(), b.RenderMatrix());
   EXPECT_EQ(a.WorstImplication(), b.WorstImplication());
+}
+
+TEST(DatasetV2Test, EmptyDatasetViewsAgree) {
+  const Dataset empty;
+  auto v1 = LoadDataset(SaveDataset(empty));
+  ASSERT_TRUE(v1.ok()) << v1.error().ToString();
+  auto v2_heap = LoadDatasetV2(SaveDatasetV2(empty));
+  ASSERT_TRUE(v2_heap.ok()) << v2_heap.error().ToString();
+  auto v2 = MmapDataset::FromBytes(SaveDatasetV2(empty));
+  ASSERT_TRUE(v2.ok()) << v2.error().ToString();
+  const QueryNames names = NamesOf(empty);
+  const std::vector<std::string> want = Transcript(empty, names);
+  ASSERT_GE(want.size(), 3u);
+  EXPECT_EQ(want[0], "labels ");
+  EXPECT_EQ(want[1], "meta 0 v0.0   gcc0 cfg0 clean");
+  EXPECT_EQ(want[2], "registers ");
+  ExpectTranscript(*v1, names, want, "v1 reload");
+  ExpectTranscript(*v2_heap, names, want, "v2 heap reload");
+  ExpectTranscript(*v2, names, want, "v2 mmap view");
 }
 
 TEST(DatasetV2Test, MigrateIsByteDeterministic) {
@@ -360,7 +381,7 @@ TEST(DatasetV2Test, HealthAndDiagnosticsSurviveV2) {
   std::vector<uint8_t> v2 = SaveDatasetV2(dataset);
   auto view = MmapDataset::FromBytes(v2);
   ASSERT_TRUE(view.ok()) << view.error().ToString();
-  EXPECT_TRUE(view->AnyDegradedAt(0));
+  EXPECT_EQ(view->HealthSummaryAt(0), "dwarf=degraded");
   EXPECT_EQ(view->HealthSummaryAt(0), dataset.HealthSummaryAt(0));
 
   auto reloaded = LoadDatasetV2(v2);
@@ -377,7 +398,6 @@ void PokeAllQueries(const MmapDataset& view) {
   for (size_t i = 0; i < view.num_images(); ++i) {
     view.MetaAt(i);
     view.HealthSummaryAt(i);
-    view.AnyDegradedAt(i);
   }
   view.labels();
   view.CheckFunc("vfs_read");
@@ -449,7 +469,7 @@ TEST(DatasetV2Test, OpenDatasetViewDispatchesOnMagic) {
   auto v2 = OpenDatasetView(v2_path);
   ASSERT_TRUE(v2.ok()) << v2.error().ToString();
   EXPECT_EQ(v2->format, 2);
-  EXPECT_EQ(v1->images, v2->images);
+  EXPECT_EQ(v1->view->num_images(), v2->view->num_images());
   ExpectViewsAgree(*v1->view, *v2->view, NamesOf(original));
   EXPECT_FALSE(OpenDatasetView(std::string(dir) + "/missing.dds").ok());
   std::remove(v1_path.c_str());
@@ -733,31 +753,16 @@ const std::vector<uint8_t>& SalvagedV2() {
 constexpr uint32_t kFuncs = 5, kStructs = 6, kTracepoints = 7, kSyscalls = 8, kPairs = 9,
                    kDiags = 10;
 
+// Which readers must reject a patched file with the case's message. The
+// heap loader walks every record; the mmap view checks the runs it binary
+// searches (and the sorted string index, which the loader never reads).
+enum class Rejects { kHeap, kBoth, kMmap };
+
 struct V2Case {
   const char* message;
   std::function<void(V2File&)> patch;
+  Rejects rejects = Rejects::kHeap;
 };
-
-void ExpectV2Rejections(const std::vector<V2Case>& cases) {
-  {
-    V2File file(SalvagedV2());
-    // The fixture has what every case patches.
-    ASSERT_GE(file.U32(file.Image() + 44), 2u);  // functions
-    ASSERT_GE(file.U32(file.Image() + 52), 2u);  // structs
-    ASSERT_GE(file.U32(file.Image() + 60), 2u);  // tracepoints
-    ASSERT_GE(file.U32(file.Image() + 68), 2u);  // syscalls
-    ASSERT_GE(file.U32(file.Image() + 76), 1u);  // diagnostics
-    ASSERT_TRUE(LoadDatasetV2(file.bytes()).ok());
-  }
-  for (const V2Case& c : cases) {
-    V2File file(SalvagedV2());
-    c.patch(file);
-    auto loaded = LoadDatasetV2(file.bytes());
-    ASSERT_FALSE(loaded.ok()) << c.message;
-    EXPECT_EQ(loaded.error().code(), ErrorCode::kMalformedData) << c.message;
-    EXPECT_EQ(loaded.error().message(), c.message);
-  }
-}
 
 // The first struct with at least two distinct field pairs; its entry index.
 uint64_t StructWithTwoFields(const V2File& f) {
@@ -773,13 +778,125 @@ uint64_t StructWithTwoFields(const V2File& f) {
   return 0;
 }
 
+// A request that reaches every searched run of the fixture's image: two
+// functions, a field of a two-field struct, a tracepoint and a syscall.
+DependencySet ProbeDeps() {
+  V2File file(SalvagedV2());
+  auto loaded = LoadDatasetV2(file.bytes());
+  EXPECT_TRUE(loaded.ok());
+  const ImageRecord& image = loaded->images()[0];
+  auto name = [&](StrId id) { return std::string(loaded->StringAt(id)); };
+  DependencySet deps;
+  deps.program = "probe";
+  deps.funcs = {name(image.funcs[0].name), name(image.funcs[1].name)};
+  const StructRecord& st = image.structs[StructWithTwoFields(file)];
+  const auto& [field, type] = loaded->Pairs(st.fields_begin, st.fields_count)[0];
+  deps.fields[name(st.name)][name(field)] = FieldDep{name(type), false};
+  deps.tracepoints = {name(image.tracepoints[0].name)};
+  deps.syscalls = {name(image.syscalls[0])};
+  return deps;
+}
+
+// ProbeDeps as a serve request line.
+std::string ProbeRequest(const DependencySet& deps) {
+  auto list = [](const std::set<std::string>& names) {
+    std::vector<std::string> quoted;
+    for (const std::string& n : names) {
+      quoted.push_back("\"" + obs::JsonEscape(n) + "\"");
+    }
+    return "[" + JoinStrings(quoted, ", ") + "]";
+  };
+  const auto& [st, fields] = *deps.fields.begin();
+  const auto& [field, dep] = *fields.begin();
+  return "{\"id\": 1, \"program\": \"probe\", \"funcs\": " + list(deps.funcs) +
+         ", \"fields\": {\"" + obs::JsonEscape(st) + "\": {\"" + obs::JsonEscape(field) +
+         "\": {\"type\": \"" + obs::JsonEscape(dep.expected_type) +
+         "\", \"guarded\": false}}}, \"tracepoints\": " + list(deps.tracepoints) +
+         ", \"syscalls\": " + list(deps.syscalls) + "}";
+}
+
+// Serves `request` twice in one batch, then once more in a second batch
+// (which a cached answer would serve as a hit), from `bytes` written to
+// `path`; the responses, or the open error.
+std::vector<std::string> ServeTwice(const std::string& path, const std::vector<uint8_t>& bytes,
+                                    const std::string& request) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  ServeOptions options;
+  options.jobs = 2;
+  auto engine = ServeEngine::Open({path}, options);
+  if (!engine.ok()) {
+    return {engine.error().message()};
+  }
+  std::vector<std::string> responses = engine->HandleBatch({request, request});
+  responses.push_back(engine->HandleBatch({request})[0]);
+  return responses;
+}
+
+void ExpectV2Rejections(const std::vector<V2Case>& cases) {
+  {
+    V2File file(SalvagedV2());
+    // The fixture has what every case patches.
+    ASSERT_GE(file.U32(file.Image() + 44), 2u);  // functions
+    ASSERT_GE(file.U32(file.Image() + 52), 2u);  // structs
+    ASSERT_GE(file.U32(file.Image() + 60), 2u);  // tracepoints
+    ASSERT_GE(file.U32(file.Image() + 68), 2u);  // syscalls
+    ASSERT_GE(file.U32(file.Image() + 76), 1u);  // diagnostics
+    ASSERT_TRUE(LoadDatasetV2(file.bytes()).ok());
+  }
+  const DependencySet deps = ProbeDeps();
+  const std::string request = ProbeRequest(deps);
+  char tmpl[] = "/tmp/depsurf_v2rej_XXXXXX";
+  const char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string path = std::string(dir) + "/patched.dds";
+  for (const V2Case& c : cases) {
+    V2File file(SalvagedV2());
+    c.patch(file);
+    auto loaded = LoadDatasetV2(file.bytes());
+    if (c.rejects == Rejects::kMmap) {
+      EXPECT_TRUE(loaded.ok()) << c.message;
+    } else {
+      ASSERT_FALSE(loaded.ok()) << c.message;
+      EXPECT_EQ(loaded.error().code(), ErrorCode::kMalformedData) << c.message;
+      EXPECT_EQ(loaded.error().message(), c.message);
+    }
+    // The mmap view and serve: a request that reaches a rejected run fails
+    // with the loader's message, every time, and is never cached. Other
+    // damage may be answered, but must not crash.
+    auto view = MmapDataset::FromBytes(file.bytes());
+    ProgramReport report;
+    if (view.ok()) {
+      report = AnalyzeProgram(*view, deps);
+    }
+    std::vector<std::string> responses = ServeTwice(path, file.bytes(), request);
+    if (c.rejects == Rejects::kHeap) {
+      continue;
+    }
+    ASSERT_TRUE(view.ok()) << c.message;
+    EXPECT_EQ(report.status.ToString(), std::string("malformed_data: ") + c.message);
+    const std::string want = "{\"id\": 1, \"ok\": false, \"error\": \"" +
+                             obs::JsonEscape(path + ": " + c.message) + "\"}";
+    ASSERT_EQ(responses.size(), 3u) << c.message;
+    for (const std::string& response : responses) {
+      EXPECT_EQ(response, want);
+    }
+  }
+  std::remove(path.c_str());
+  rmdir(dir);
+}
+
 TEST(DatasetLoadRejectionTest, V2RejectsEachCorruptField) {
   const uint32_t huge = 0xfffffff0;
   std::vector<V2Case> cases = {
       {"not a v2 depsurf dataset (bad magic)", [](V2File& f) { f.bytes()[0] ^= 0xff; }},
       {"v2 dataset truncated (recorded size mismatch)", [](V2File& f) { f.bytes().pop_back(); }},
       {"v2 string table entry corrupt",
-       [](V2File& f) { f.SetU64(f.SectionOffset(1) + 8, f.U64(f.SectionOffset(1))); }},
+       [](V2File& f) { f.SetU64(f.SectionOffset(1) + 8, f.U64(f.SectionOffset(1))); },
+       Rejects::kBoth},
       {"duplicate string in pool",
        [](V2File& f) {
          // Overwrite a later string with an earlier one of the same length.
@@ -835,23 +952,32 @@ TEST(DatasetLoadRejectionTest, V2RejectsEachCorruptField) {
 TEST(DatasetLoadRejectionTest, V2RejectsUnsortedOrDuplicatedRecords) {
   std::vector<V2Case> cases = {
       {"function name ids not strictly ascending",
-       [](V2File& f) { f.SwapBytes(f.Entry(kFuncs, 24, 0), f.Entry(kFuncs, 24, 1), 24); }},
+       [](V2File& f) { f.SwapBytes(f.Entry(kFuncs, 24, 0), f.Entry(kFuncs, 24, 1), 24); },
+       Rejects::kBoth},
       {"function name ids not strictly ascending",
-       [](V2File& f) { f.SetU32(f.Entry(kFuncs, 24, 1), f.U32(f.Entry(kFuncs, 24, 0))); }},
+       [](V2File& f) { f.SetU32(f.Entry(kFuncs, 24, 1), f.U32(f.Entry(kFuncs, 24, 0))); },
+       Rejects::kBoth},
       {"struct name ids not strictly ascending",
-       [](V2File& f) { f.SwapBytes(f.Entry(kStructs, 12, 0), f.Entry(kStructs, 12, 1), 12); }},
+       [](V2File& f) { f.SwapBytes(f.Entry(kStructs, 12, 0), f.Entry(kStructs, 12, 1), 12); },
+       Rejects::kBoth},
       {"tracepoint name ids not strictly ascending",
        [](V2File& f) {
          f.SetU32(f.Entry(kTracepoints, 20, 1), f.U32(f.Entry(kTracepoints, 20, 0)));
-       }},
+       },
+       Rejects::kBoth},
       {"syscall name ids not strictly ascending",
-       [](V2File& f) { f.SwapBytes(f.Entry(kSyscalls, 4, 0), f.Entry(kSyscalls, 4, 1), 4); }},
+       [](V2File& f) { f.SwapBytes(f.Entry(kSyscalls, 4, 0), f.Entry(kSyscalls, 4, 1), 4); },
+       Rejects::kBoth},
       {"struct field pairs not sorted",
        [](V2File& f) {
          uint64_t e = f.Entry(kStructs, 12, StructWithTwoFields(f));
          uint64_t pair = f.Entry(kPairs, 8, f.U32(e + 4));
          f.SwapBytes(pair, pair + 8, 8);
-       }},
+       },
+       Rejects::kBoth},
+      {"v2 sorted string index not ascending",
+       [](V2File& f) { f.SwapBytes(f.SectionOffset(3), f.SectionOffset(3) + 4, 4); },
+       Rejects::kMmap},
   };
   ExpectV2Rejections(cases);
 }
