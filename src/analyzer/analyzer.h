@@ -29,10 +29,11 @@
 #include "src/bpf/bpf_object.h"
 #include "src/core/dataset.h"
 #include "src/core/dependency_set.h"
+#include "src/obs/schema.h"
 
 namespace depsurf {
 
-inline constexpr char kAnalysisSchema[] = "depsurf.analysis.v1";
+using obs::kAnalysisSchema;
 
 enum class FindingKind : uint8_t {
   kRawOffsetDeref,

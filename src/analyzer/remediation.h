@@ -23,10 +23,11 @@
 #include "src/analyzer/analyzer.h"
 #include "src/bpf/bpf_object.h"
 #include "src/bpf/bpf_rewriter.h"
+#include "src/obs/schema.h"
 
 namespace depsurf {
 
-inline constexpr char kRemediationSchema[] = "depsurf.remediation.v1";
+using obs::kRemediationSchema;
 
 // One per finding (parallel to ObjectAnalysis::findings).
 struct Remediation {

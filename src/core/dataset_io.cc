@@ -387,12 +387,6 @@ uint64_t LoadU64(const uint8_t* p) {
   return static_cast<uint64_t>(LoadU32(p)) | static_cast<uint64_t>(LoadU32(p + 4)) << 32;
 }
 
-DegradationState ClampState(uint8_t raw) {
-  return raw > static_cast<uint8_t>(DegradationState::kMissing)
-             ? DegradationState::kClean
-             : static_cast<DegradationState>(raw);
-}
-
 // The numeric fields of an image header; flavor and arch are string ids.
 SurfaceMeta MetaFromHeader(const uint8_t* img) {
   SurfaceMeta meta;
@@ -406,14 +400,32 @@ SurfaceMeta MetaFromHeader(const uint8_t* img) {
   return meta;
 }
 
+// The per-subsystem degradation states, which CheckImageHeader has bounded.
 SurfaceHealth HealthFromHeader(const uint8_t* img) {
   SurfaceHealth health;
-  health.elf = ClampState(img[32]);
-  health.dwarf = ClampState(img[33]);
-  health.btf = ClampState(img[34]);
-  health.tracepoint = ClampState(img[35]);
-  health.syscall = ClampState(img[36]);
+  health.elf = static_cast<DegradationState>(img[32]);
+  health.dwarf = static_cast<DegradationState>(img[33]);
+  health.btf = static_cast<DegradationState>(img[34]);
+  health.tracepoint = static_cast<DegradationState>(img[35]);
+  health.syscall = static_cast<DegradationState>(img[36]);
   return health;
+}
+
+// What both v2 readers reject in an image header before using it: a label,
+// flavor or arch id past the string table, or an unknown degradation state.
+Status CheckImageHeader(const uint8_t* img, uint32_t num_strings) {
+  for (const auto& [offset, what] :
+       {std::pair<size_t, const char*>{0, "label"}, {4, "flavor"}, {8, "arch"}}) {
+    if (LoadU32(img + offset) >= num_strings) {
+      return Status(ErrorCode::kMalformedData, std::string("v2 ") + what + " id out of range");
+    }
+  }
+  for (size_t h = 32; h < 37; ++h) {
+    if (img[h] > static_cast<uint8_t>(DegradationState::kMissing)) {
+      return Status(ErrorCode::kMalformedData, "bad degradation state");
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -700,22 +712,26 @@ Status ParseV2Header(const uint8_t* data, size_t size, V2Header* header) {
 }
 
 // Where each run kind lives: its section, entry stride, the offset of its
-// [begin, count) range in an image header, and the loaders' word for it.
-// The first kCheckedRuns kinds are binary-searched by name id.
+// [begin, count) range in an image header, the loaders' word for it and
+// their message for an entry whose name id is past the string table. The
+// first kCheckedRuns kinds are binary-searched by name id.
 struct RunLayout {
   uint32_t section;
   size_t stride;
   size_t range;
   const char* what;
+  const char* id_error;
 };
 enum RunKind : uint8_t { kFuncRun, kStructRun, kTracepointRun, kSyscallRun, kDiagRun };
 constexpr size_t kCheckedRuns = 4;
 constexpr RunLayout kRunLayouts[] = {
-    {kSecFuncs, kV2FuncEntrySize, kImgFuncRange, "function"},
-    {kSecStructs, kV2StructEntrySize, kImgStructRange, "struct"},
-    {kSecTracepoints, kV2TracepointEntrySize, kImgTracepointRange, "tracepoint"},
-    {kSecSyscalls, 4, kImgSyscallRange, "syscall"},
-    {kSecDiags, kV2DiagEntrySize, kImgDiagRange, "diagnostic"},
+    {kSecFuncs, kV2FuncEntrySize, kImgFuncRange, "function", "function name id out of range"},
+    {kSecStructs, kV2StructEntrySize, kImgStructRange, "struct", "struct name id out of range"},
+    {kSecTracepoints, kV2TracepointEntrySize, kImgTracepointRange, "tracepoint",
+     "tracepoint name id out of range"},
+    {kSecSyscalls, 4, kImgSyscallRange, "syscall", "syscall id out of range"},
+    {kSecDiags, kV2DiagEntrySize, kImgDiagRange, "diagnostic",
+     "diagnostic message id out of range"},
 };
 
 // One image's run of a kind: its first entry and entry count; nullopt when
@@ -766,24 +782,72 @@ TracepointRecord DecodeTracepoint(const uint8_t* e) {
                           LoadU32(e + 16)};
 }
 
-// A run's (or the string index's) check result, memoized per view.
-enum Verdict : uint8_t { kUnchecked, kSound, kNameOrder, kFieldOrder, kIndexOrder, kBadString };
+// A run's (or the string index's) check result, memoized per view: sound,
+// or the first fault found.
+enum Verdict : uint8_t {
+  kUnchecked,
+  kSound,
+  kRunRange,    // the run's range leaves its section
+  kNameId,      // an entry's name id is past the string table
+  kDeclId,      // a function's decl id is
+  kSuffixId,    // a function's suffix id is
+  kPairRange,   // a struct's or tracepoint's pair range leaves the pairs section
+  kPairId,      // a field or type id in such a range is past the string table
+  kNameOrder,   // name ids not strictly ascending
+  kFieldOrder,  // a struct's field pairs not sorted
+  kIndexOrder,  // the sorted string index is not ascending
+  kBadString,   // a string table entry is corrupt
+};
+
+// The loaders' message for a fault in a run of kind `run` (ignored for the
+// string index's faults).
+Error FaultError(uint8_t verdict, RunKind run = kFuncRun) {
+  const RunLayout& layout = kRunLayouts[run];
+  switch (verdict) {
+    case kRunRange:
+      return Error(ErrorCode::kMalformedData,
+                   std::string("v2 ") + layout.what + " range beyond section");
+    case kNameId:
+      return Error(ErrorCode::kMalformedData, layout.id_error);
+    case kDeclId:
+      return Error(ErrorCode::kMalformedData, "decl id out of range");
+    case kSuffixId:
+      return Error(ErrorCode::kMalformedData, "suffix id out of range");
+    case kPairRange:
+      return Error(ErrorCode::kMalformedData, "v2 pair range beyond section");
+    case kPairId:
+      return Error(ErrorCode::kMalformedData, "string id out of range");
+    case kNameOrder:
+      return NameOrderError(layout.what);
+    case kFieldOrder:
+      return FieldOrderError();
+    case kIndexOrder:
+      return Error(ErrorCode::kMalformedData, "v2 sorted string index not ascending");
+    default:
+      return Error(ErrorCode::kMalformedData, "v2 string table entry corrupt");
+  }
+}
 
 // Sets `*error` to the message LoadDatasetV2 gives for the same fault,
 // unless it already holds an earlier one.
-void Report(Status* error, uint8_t verdict, const char* what) {
-  if (error == nullptr || !error->ok()) {
-    return;
+void Report(Status* error, uint8_t verdict, RunKind run = kFuncRun) {
+  if (error != nullptr && error->ok()) {
+    *error = FaultError(verdict, run);
   }
-  if (verdict == kNameOrder) {
-    *error = NameOrderError(what);
-  } else if (verdict == kFieldOrder) {
-    *error = FieldOrderError();
-  } else {
-    *error = Status(ErrorCode::kMalformedData, verdict == kIndexOrder
-                                                   ? "v2 sorted string index not ascending"
-                                                   : "v2 string table entry corrupt");
+}
+
+// A pair range's verdict: inside the pairs section (`pairs` is set), with
+// every field and type id naming a string.
+uint8_t PairVerdict(const std::optional<PairRun>& pairs, uint32_t num_strings) {
+  if (!pairs.has_value()) {
+    return kPairRange;
   }
+  for (size_t i = 0; i < pairs->size(); ++i) {
+    if ((*pairs)[i].first >= num_strings || (*pairs)[i].second >= num_strings) {
+      return kPairId;
+    }
+  }
+  return kSound;
 }
 
 // Computes a verdict once. The verdict depends only on the mapped bytes, so
@@ -813,6 +877,9 @@ const uint8_t* FindNamedEntry(const uint8_t* run, uint32_t count, size_t stride,
 Status MmapDataset::Attach(const uint8_t* data, size_t size) {
   data_ = data;
   DEPSURF_RETURN_IF_ERROR(ParseV2Header(data, size, &header_));
+  for (size_t image = 0; image < header_.image_count; ++image) {
+    DEPSURF_RETURN_IF_ERROR(CheckImageHeader(ImageHeader(image), header_.string_count));
+  }
   verdicts_ =
       std::make_unique<std::atomic<uint8_t>[]>(size_t{header_.image_count} * kCheckedRuns + 1);
   return Status::Ok();
@@ -877,7 +944,7 @@ uint8_t MmapDataset::CheckIndex() const {
 
 StrId MmapDataset::LookupId(std::string_view text, Status* error) const {
   if (uint8_t verdict = CheckIndex(); verdict != kSound) {
-    Report(error, verdict, nullptr);
+    Report(error, verdict);
     return kNoStrId;
   }
   // A sound index is a permutation of decodable ids in ascending order.
@@ -897,20 +964,40 @@ uint8_t MmapDataset::CheckRun(size_t image, size_t run) const {
   return Memoized(verdicts_[image * kCheckedRuns + run], [&]() -> uint8_t {
     auto entries = RunOf(data_, header_, ImageHeader(image), static_cast<RunKind>(run));
     if (!entries.has_value()) {
-      return kSound;  // lookups find nothing in it
+      return kRunRange;
     }
-    // Entry by entry, in the loaders' order: name, then field pairs.
+    const uint32_t num_strings = header_.string_count;
+    auto pairs_at = [&](const uint8_t* range) {
+      return PairRunAt(LoadU32(range), LoadU32(range + 4));
+    };
+    // Entry by entry, in the loaders' order: ids, pair ranges, then order.
     const size_t stride = kRunLayouts[run].stride;
     const uint8_t* entry = entries->first;
     for (uint32_t i = 0; i < entries->second; ++i, entry += stride) {
+      if (LoadU32(entry) >= num_strings) {
+        return kNameId;
+      }
+      uint8_t verdict = kSound;
+      if (run == kFuncRun) {
+        StrId decl = LoadU32(entry + 4);
+        StrId suffix = LoadU32(entry + 16);
+        verdict = decl != kNoStrId && decl >= num_strings       ? kDeclId
+                  : suffix != kNoStrId && suffix >= num_strings ? kSuffixId
+                                                                : kSound;
+      } else if (run == kStructRun) {
+        verdict = PairVerdict(pairs_at(entry + 4), num_strings);
+      } else if (run == kTracepointRun) {
+        verdict = PairVerdict(pairs_at(entry + 4), num_strings);
+        verdict = verdict != kSound ? verdict : PairVerdict(pairs_at(entry + 12), num_strings);
+      }
+      if (verdict != kSound) {
+        return verdict;
+      }
       if (i > 0 && LoadU32(entry) <= LoadU32(entry - stride)) {
         return kNameOrder;
       }
-      if (run == kStructRun) {
-        std::optional<PairRun> fields = PairRunAt(LoadU32(entry + 4), LoadU32(entry + 8));
-        if (fields.has_value() && !CheckFieldOrder(*fields).ok()) {
-          return kFieldOrder;
-        }
+      if (run == kStructRun && !CheckFieldOrder(*pairs_at(entry + 4)).ok()) {
+        return kFieldOrder;
       }
     }
     return kSound;
@@ -920,13 +1007,12 @@ uint8_t MmapDataset::CheckRun(size_t image, size_t run) const {
 const uint8_t* MmapDataset::FindEntry(size_t image, size_t run, StrId name,
                                       Status* error) const {
   if (uint8_t verdict = CheckRun(image, run); verdict != kSound) {
-    Report(error, verdict, kRunLayouts[run].what);
+    Report(error, verdict, static_cast<RunKind>(run));
     return nullptr;
   }
+  // A sound run lies inside its section.
   auto entries = RunOf(data_, header_, ImageHeader(image), static_cast<RunKind>(run));
-  return entries.has_value()
-             ? FindNamedEntry(entries->first, entries->second, kRunLayouts[run].stride, name)
-             : nullptr;
+  return FindNamedEntry(entries->first, entries->second, kRunLayouts[run].stride, name);
 }
 
 std::optional<FuncRecord> MmapDataset::FindFunc(size_t image, StrId name, Status* error) const {
@@ -991,7 +1077,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
   for (uint32_t i = 0; i < num_strings; ++i) {
     std::optional<std::string_view> s = V2String(data, header, i);
     if (!s.has_value()) {
-      return Error(ErrorCode::kMalformedData, "v2 string table entry corrupt");
+      return FaultError(kBadString);
     }
     if (dataset.Intern(*s) != i) {
       return Error(ErrorCode::kMalformedData, "duplicate string in pool");
@@ -1010,51 +1096,32 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     dataset.pairs_[i] = {LoadU32(p), LoadU32(p + 4)};
   }
   auto check_pairs = [&](uint32_t begin, uint32_t count) -> Status {
-    if (begin > pair_entries || count > pair_entries - begin) {
-      return Status(ErrorCode::kMalformedData, "v2 pair range beyond section");
-    }
-    for (const auto& [a, b] : dataset.Pairs(begin, count)) {
-      if (a >= num_strings || b >= num_strings) {
-        return Status(ErrorCode::kMalformedData, "string id out of range");
-      }
-    }
-    return Status::Ok();
+    bool inside = begin <= pair_entries && count <= pair_entries - begin;
+    uint8_t verdict = PairVerdict(
+        inside ? std::optional<PairRun>(dataset.Pairs(begin, count)) : std::nullopt, num_strings);
+    return verdict == kSound ? Status::Ok() : Status(FaultError(verdict));
   };
   auto run_of = [&](const uint8_t* img,
                     RunKind run) -> Result<std::pair<const uint8_t*, uint32_t>> {
     auto entries = RunOf(data, header, img, run);
     if (!entries.has_value()) {
-      return Error(ErrorCode::kMalformedData,
-                   std::string("v2 ") + kRunLayouts[run].what + " range beyond section");
+      return FaultError(kRunRange, run);
     }
     return *entries;
-  };
-  auto required_string = [&](uint32_t id, const char* what) -> Result<std::string> {
-    if (id >= num_strings) {
-      return Error(ErrorCode::kMalformedData, std::string("v2 ") + what + " id out of range");
-    }
-    return std::string(dataset.StringAt(id));
   };
 
   dataset.images_.reserve(header.image_count);
   for (uint32_t image_index = 0; image_index < header.image_count; ++image_index) {
     const uint8_t* img = data + header.sections[kSecImages].offset +
                          static_cast<uint64_t>(image_index) * kV2ImageHeaderSize;
+    DEPSURF_RETURN_IF_ERROR(CheckImageHeader(img, num_strings));
     ImageRecord image;
     image.meta = MetaFromHeader(img);
-    DEPSURF_ASSIGN_OR_RETURN(label, required_string(LoadU32(img), "label"));
-    image.label = std::move(label);
-    DEPSURF_ASSIGN_OR_RETURN(flavor, required_string(LoadU32(img + 4), "flavor"));
-    image.meta.flavor = std::move(flavor);
-    DEPSURF_ASSIGN_OR_RETURN(arch, required_string(LoadU32(img + 8), "arch"));
-    image.meta.arch = std::move(arch);
+    image.label = std::string(dataset.StringAt(LoadU32(img)));
+    image.meta.flavor = std::string(dataset.StringAt(LoadU32(img + 4)));
+    image.meta.arch = std::string(dataset.StringAt(LoadU32(img + 8)));
     image.compat_syscalls_traceable = image.meta.compat_syscalls_traceable;
     image.pt_regs_hash = LoadU64(img + 24);
-    for (size_t h = 0; h < 5; ++h) {
-      if (img[32 + h] > static_cast<uint8_t>(DegradationState::kMissing)) {
-        return Error(ErrorCode::kMalformedData, "bad degradation state");
-      }
-    }
     image.health = HealthFromHeader(img);
 
     DEPSURF_ASSIGN_OR_RETURN(funcs, run_of(img, kFuncRun));
@@ -1063,14 +1130,14 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
       const uint8_t* e = funcs.first + uint64_t{i} * kV2FuncEntrySize;
       FuncRecord record = DecodeFunc(e);
       if (record.name >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "function name id out of range");
+        return FaultError(kNameId, kFuncRun);
       }
       if (record.decl != kNoStrId && record.decl >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "decl id out of range");
+        return FaultError(kDeclId);
       }
       uint32_t suffix = LoadU32(e + 16);
       if (suffix != kNoStrId && suffix >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "suffix id out of range");
+        return FaultError(kSuffixId);
       }
       if (suffix != kNoStrId && !dataset.StringAt(suffix).empty()) {
         record.suffix = dataset.suffixes_.Intern(dataset.StringAt(suffix));
@@ -1084,7 +1151,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     for (uint32_t i = 0; i < structs.second; ++i) {
       StructRecord record = DecodeStruct(structs.first + uint64_t{i} * kV2StructEntrySize);
       if (record.name >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "struct name id out of range");
+        return FaultError(kNameId, kStructRun);
       }
       DEPSURF_RETURN_IF_ERROR(check_pairs(record.fields_begin, record.fields_count));
       DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.structs, record.name, "struct"));
@@ -1099,7 +1166,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
       TracepointRecord record =
           DecodeTracepoint(tps.first + uint64_t{i} * kV2TracepointEntrySize);
       if (record.name >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "tracepoint name id out of range");
+        return FaultError(kNameId, kTracepointRun);
       }
       DEPSURF_RETURN_IF_ERROR(check_pairs(record.params_begin, record.params_count));
       DEPSURF_RETURN_IF_ERROR(check_pairs(record.fields_begin, record.fields_count));
@@ -1112,7 +1179,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
     for (uint32_t i = 0; i < syscalls.second; ++i) {
       uint32_t id = LoadU32(syscalls.first + uint64_t{i} * 4);
       if (id >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "syscall id out of range");
+        return FaultError(kNameId, kSyscallRun);
       }
       DEPSURF_RETURN_IF_ERROR(CheckNameOrder(image.syscalls, id, "syscall"));
       image.syscalls.push_back(id);
@@ -1123,7 +1190,7 @@ Result<Dataset> LoadDatasetV2(const std::vector<uint8_t>& bytes) {
       const uint8_t* e = diags.first + uint64_t{i} * kV2DiagEntrySize;
       uint32_t message = LoadU32(e);
       if (message >= num_strings) {
-        return Error(ErrorCode::kMalformedData, "diagnostic message id out of range");
+        return FaultError(kNameId, kDiagRun);
       }
       uint8_t severity = e[4];
       if (severity > static_cast<uint8_t>(DiagSeverity::kFatal)) {

@@ -67,18 +67,20 @@ struct V2Header {
 };
 
 // Zero-copy read view over a `.dds` v2 file. Open() maps the file and
-// validates the header + section table once (O(sections)); every query then
+// validates the header, the section table and each image header (string
+// ids, degradation states) once (O(sections + images)); every query then
 // touches only the pages its lookups land on. The view supplies the record
 // interface of dataset_view.h by decoding entries in place:
-//  - Bounds are re-checked on every access, so a range outside its section
-//    reads as "no record" and a truncated or bit-flipped file never crashes.
+//  - Bounds are re-checked on every access, so a truncated or bit-flipped
+//    file never crashes.
 //  - Each binary-searched run is checked once, on first use: an image's
-//    function, struct (with each struct's field pairs), tracepoint and
-//    syscall runs, and the sorted string index. A run that breaks its order
-//    makes every query that reaches it report the message LoadDatasetV2
-//    gives for the same bytes (e.g. "function name ids not strictly
-//    ascending"), never an answer. The verdicts are atomics, so concurrent
-//    queries may race to compute them.
+//    function, struct, tracepoint and syscall runs, and the sorted string
+//    index. A run whose range leaves its section, whose entries name ids
+//    past the string table (names, decls, suffixes, field pairs) or point
+//    outside the pairs section, or that breaks its order makes every query
+//    that reaches it report the message LoadDatasetV2 gives for the same
+//    bytes (e.g. "v2 function range beyond section"), never an answer. The
+//    verdicts are atomics, so concurrent queries may race to compute them.
 class MmapDataset : public DatasetView {
  public:
   static Result<MmapDataset> Open(const std::string& path);

@@ -27,10 +27,11 @@
 #include <vector>
 
 #include "src/util/error.h"
+#include "src/obs/schema.h"
 
 namespace depsurf {
 
-inline constexpr char kFuzzCampaignSchema[] = "depsurf.fuzz_campaign.v1";
+using obs::kFuzzCampaignSchema;
 
 // What kind of input the campaign is fuzzing. Auto-detected from the first
 // seed: a strict-parseable eBPF object fuzzes the object pipeline

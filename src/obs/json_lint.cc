@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "src/obs/diagnostics.h"
 #include "src/obs/metrics.h"
 #include "src/obs/run_report.h"
 #include "src/util/str_util.h"
@@ -55,11 +54,13 @@ class Parser {
       return Fail("unexpected end of input");
     }
     char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject();
-    }
-    if (c == '[') {
-      return ParseArray();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxJsonDepth) {
+        return Fail(StrFormat("nested deeper than %zu", kMaxJsonDepth));
+      }
+      Result<JsonValue> out = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return out;
     }
     if (c == '"') {
       return ParseString();
@@ -231,6 +232,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // open objects and arrays around pos_
 };
 
 size_t CountSpanNodesFrom(const JsonValue& span) {
@@ -416,6 +418,31 @@ const JsonValue* JsonValue::Find(std::string_view key) const {
 
 Result<JsonValue> ParseJson(std::string_view text) { return Parser(text).Parse(); }
 
+Status ForEachJsonLine(std::string_view text,
+                       const std::function<Status(const JsonValue&)>& each) {
+  size_t line_no = 0;
+  size_t pos = 0;
+  while (pos <= text.size()) {
+    size_t end = text.find('\n', pos);
+    if (end == std::string_view::npos) {
+      end = text.size();
+    }
+    ++line_no;
+    std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) {
+      continue;
+    }
+    auto parsed = ParseJson(line);
+    Status status = parsed.ok() ? each(*parsed) : Status(parsed.TakeError());
+    if (!status.ok()) {
+      return Status(ErrorCode::kMalformedData,
+                    StrFormat("line %zu: %s", line_no, status.error().message().c_str()));
+    }
+  }
+  return Status::Ok();
+}
+
 std::vector<std::string> RunReportLintNotes(const JsonValue& report) {
   // Gauges renamed across schema revisions: old documents still lint clean,
   // but readers should know which name current builds emit.
@@ -461,719 +488,6 @@ size_t CountReportSpanNodes(const JsonValue& report) {
     }
   }
   return n;
-}
-
-Status ValidateRunReport(std::string_view json, size_t min_distinct_spans,
-                         const std::vector<std::string>& required_counters) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& report = *parsed;
-  const JsonValue* schema = report.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kRunReportSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kRunReportSchema));
-  }
-  for (const char* section : {"spans", "counters", "gauges", "histograms", "diagnostics"}) {
-    if (report.Find(section) == nullptr) {
-      return Status(ErrorCode::kMalformedData, StrFormat("missing section %s", section));
-    }
-  }
-  DEPSURF_RETURN_IF_ERROR(ValidateDiagnosticsArray(*report.Find("diagnostics")));
-  std::set<std::string> names = CollectSpanNames(report);
-  if (names.size() < min_distinct_spans) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("only %zu distinct span names, need %zu", names.size(),
-                            min_distinct_spans));
-  }
-  const JsonValue* counters = report.Find("counters");
-  for (const std::string& required : required_counters) {
-    if (counters->Find(required) == nullptr) {
-      return Status(ErrorCode::kMalformedData, "missing counter " + required);
-    }
-  }
-  return Status::Ok();
-}
-
-Status ValidateDiagnosticsArray(const JsonValue& array, bool labeled) {
-  if (array.kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "diagnostics is not an array");
-  }
-  for (size_t i = 0; i < array.array.size(); ++i) {
-    const JsonValue& entry = array.array[i];
-    if (entry.kind != JsonValue::Kind::kObject) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("diagnostics[%zu] is not an object", i));
-    }
-    const JsonValue* severity = entry.Find("severity");
-    if (severity == nullptr || severity->kind != JsonValue::Kind::kString ||
-        (severity->string != "warning" && severity->string != "degraded" &&
-         severity->string != "fatal")) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("diagnostics[%zu] has a bad severity", i));
-    }
-    const JsonValue* subsystem = entry.Find("subsystem");
-    static const char* kSubsystems[] = {"elf", "dwarf", "btf", "tracepoint", "syscall",
-                                        "bpf"};
-    bool subsystem_ok = subsystem != nullptr &&
-                        subsystem->kind == JsonValue::Kind::kString;
-    if (subsystem_ok) {
-      subsystem_ok = false;
-      for (const char* known : kSubsystems) {
-        subsystem_ok |= subsystem->string == known;
-      }
-    }
-    if (!subsystem_ok) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("diagnostics[%zu] has a bad subsystem", i));
-    }
-    const JsonValue* code = entry.Find("code");
-    if (code == nullptr || code->kind != JsonValue::Kind::kString || code->string.empty()) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("diagnostics[%zu] is missing its error code", i));
-    }
-    const JsonValue* offset = entry.Find("offset");
-    if (offset == nullptr || offset->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("diagnostics[%zu] is missing its offset", i));
-    }
-    const JsonValue* message = entry.Find("message");
-    if (message == nullptr || message->kind != JsonValue::Kind::kString) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("diagnostics[%zu] is missing its message", i));
-    }
-    if (labeled) {
-      const JsonValue* label = entry.Find("label");
-      if (label == nullptr || label->kind != JsonValue::Kind::kString) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("diagnostics[%zu] is missing its label", i));
-      }
-    }
-  }
-  return Status::Ok();
-}
-
-Status ValidateDiagnosticsDoc(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kDiagnosticsSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kDiagnosticsSchema));
-  }
-  const JsonValue* image = doc.Find("image");
-  if (image == nullptr || image->kind != JsonValue::Kind::kString) {
-    return Status(ErrorCode::kMalformedData, "missing \"image\" string");
-  }
-  const JsonValue* health = doc.Find("health");
-  if (health == nullptr || health->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"health\" object");
-  }
-  for (const char* subsystem : {"elf", "dwarf", "btf", "tracepoint", "syscall"}) {
-    const JsonValue* state = health->Find(subsystem);
-    if (state == nullptr || state->kind != JsonValue::Kind::kString ||
-        (state->string != "clean" && state->string != "degraded" &&
-         state->string != "missing")) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("health.%s is not clean/degraded/missing", subsystem));
-    }
-  }
-  const JsonValue* fatal = doc.Find("fatal");
-  if (fatal == nullptr || fatal->kind != JsonValue::Kind::kBool) {
-    return Status(ErrorCode::kMalformedData, "missing \"fatal\" bool");
-  }
-  const JsonValue* entries = doc.Find("entries");
-  if (entries == nullptr) {
-    return Status(ErrorCode::kMalformedData, "missing \"entries\" array");
-  }
-  return ValidateDiagnosticsArray(*entries);
-}
-
-Status ValidateAnalysisDoc(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  // Mirrors kAnalysisSchema (src/analyzer/analyzer.h); obs cannot depend on
-  // the analyzer layer, so the marker is checked by value.
-  constexpr char kWantSchema[] = "depsurf.analysis.v1";
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kWantSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kWantSchema));
-  }
-  const JsonValue* object = doc.Find("object");
-  if (object == nullptr || object->kind != JsonValue::Kind::kString) {
-    return Status(ErrorCode::kMalformedData, "missing \"object\" string");
-  }
-  const JsonValue* against = doc.Find("against");
-  if (against == nullptr ||
-      (against->kind != JsonValue::Kind::kNull &&
-       against->kind != JsonValue::Kind::kObject)) {
-    return Status(ErrorCode::kMalformedData, "\"against\" must be null or an object");
-  }
-  if (against->kind == JsonValue::Kind::kObject) {
-    const JsonValue* images = against->Find("images");
-    if (images == nullptr || images->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData, "against.images is not a number");
-    }
-  }
-  const JsonValue* programs = doc.Find("programs");
-  if (programs == nullptr || programs->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"programs\" array");
-  }
-  for (size_t i = 0; i < programs->array.size(); ++i) {
-    const JsonValue& program = programs->array[i];
-    for (const char* key : {"name", "section"}) {
-      const JsonValue* member = program.Find(key);
-      if (member == nullptr || member->kind != JsonValue::Kind::kString) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("programs[%zu].%s is not a string", i, key));
-      }
-    }
-    for (const char* key : {"insns", "blocks", "reachable_insns", "helper_calls"}) {
-      const JsonValue* member = program.Find(key);
-      if (member == nullptr || member->kind != JsonValue::Kind::kNumber) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("programs[%zu].%s is not a number", i, key));
-      }
-    }
-  }
-  const JsonValue* relocs = doc.Find("relocs");
-  if (relocs == nullptr || relocs->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"relocs\" array");
-  }
-  for (size_t i = 0; i < relocs->array.size(); ++i) {
-    const JsonValue& reloc = relocs->array[i];
-    const JsonValue* index = reloc.Find("index");
-    if (index == nullptr || index->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("relocs[%zu].index is not a number", i));
-    }
-    const JsonValue* kind = reloc.Find("kind");
-    if (kind == nullptr || kind->kind != JsonValue::Kind::kString) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("relocs[%zu].kind is not a string", i));
-    }
-    for (const char* key : {"reachable", "unguarded"}) {
-      const JsonValue* member = reloc.Find(key);
-      if (member == nullptr || member->kind != JsonValue::Kind::kBool) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("relocs[%zu].%s is not a bool", i, key));
-      }
-    }
-    if (against->kind == JsonValue::Kind::kObject) {
-      const JsonValue* consequence = reloc.Find("consequence");
-      if (consequence == nullptr || consequence->kind != JsonValue::Kind::kString) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("relocs[%zu].consequence is not a string "
-                                "(required with \"against\")",
-                                i));
-      }
-    }
-  }
-  const JsonValue* findings = doc.Find("findings");
-  if (findings == nullptr || findings->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"findings\" array");
-  }
-  constexpr const char* kFindingKinds[] = {"raw-offset-deref", "unguarded-reloc",
-                                           "unknown-helper", "unreachable-reloc"};
-  for (size_t i = 0; i < findings->array.size(); ++i) {
-    const JsonValue& finding = findings->array[i];
-    const JsonValue* kind = finding.Find("kind");
-    bool known = false;
-    if (kind != nullptr && kind->kind == JsonValue::Kind::kString) {
-      for (const char* name : kFindingKinds) {
-        known = known || kind->string == name;
-      }
-    }
-    if (!known) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("findings[%zu].kind is not a known finding kind", i));
-    }
-    const JsonValue* program = finding.Find("program");
-    if (program == nullptr || program->kind != JsonValue::Kind::kString) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("findings[%zu].program is not a string", i));
-    }
-    const JsonValue* insn_off = finding.Find("insn_off");
-    if (insn_off == nullptr || insn_off->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("findings[%zu].insn_off is not a number", i));
-    }
-    const JsonValue* detail = finding.Find("detail");
-    if (detail == nullptr || detail->kind != JsonValue::Kind::kString) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("findings[%zu].detail is not a string", i));
-    }
-    const JsonValue* remediation = finding.Find("remediation");
-    if (remediation == nullptr || remediation->kind != JsonValue::Kind::kString) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("findings[%zu].remediation is not a string", i));
-    }
-  }
-  const JsonValue* summary = doc.Find("summary");
-  if (summary == nullptr || summary->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"summary\" object");
-  }
-  const JsonValue* total = summary->Find("findings");
-  if (total == nullptr || total->kind != JsonValue::Kind::kNumber) {
-    return Status(ErrorCode::kMalformedData, "summary.findings is not a number");
-  }
-  double sum = 0;
-  for (const char* key :
-       {"raw_offset_deref", "unguarded_reloc", "unknown_helper", "unreachable_reloc"}) {
-    const JsonValue* count = summary->Find(key);
-    if (count == nullptr || count->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("summary.%s is not a number", key));
-    }
-    sum += count->number;
-  }
-  if (sum != total->number) {
-    return Status(ErrorCode::kMalformedData,
-                  "summary per-kind counts do not sum to summary.findings");
-  }
-  if (total->number != static_cast<double>(findings->array.size())) {
-    return Status(ErrorCode::kMalformedData,
-                  "summary.findings does not match the findings array length");
-  }
-  return Status::Ok();
-}
-
-Status ValidateRemediationDoc(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  // Mirrors kRemediationSchema (src/analyzer/remediation.h); obs cannot
-  // depend on the analyzer layer, so the marker is checked by value.
-  constexpr char kWantSchema[] = "depsurf.remediation.v1";
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kWantSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kWantSchema));
-  }
-  const JsonValue* object = doc.Find("object");
-  if (object == nullptr || object->kind != JsonValue::Kind::kString) {
-    return Status(ErrorCode::kMalformedData, "missing \"object\" string");
-  }
-  const JsonValue* against = doc.Find("against");
-  if (against == nullptr ||
-      (against->kind != JsonValue::Kind::kNull &&
-       against->kind != JsonValue::Kind::kObject)) {
-    return Status(ErrorCode::kMalformedData, "\"against\" must be null or an object");
-  }
-  if (against->kind == JsonValue::Kind::kObject) {
-    const JsonValue* images = against->Find("images");
-    if (images == nullptr || images->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData, "against.images is not a number");
-    }
-  }
-  const JsonValue* items = doc.Find("remediations");
-  if (items == nullptr || items->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"remediations\" array");
-  }
-  size_t fixable_count = 0;
-  for (size_t i = 0; i < items->array.size(); ++i) {
-    const JsonValue& item = items->array[i];
-    const JsonValue* finding = item.Find("finding");
-    if (finding == nullptr || finding->kind != JsonValue::Kind::kObject) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("remediations[%zu].finding is not an object", i));
-    }
-    for (const char* key : {"kind", "program", "detail"}) {
-      const JsonValue* member = finding->Find(key);
-      if (member == nullptr || member->kind != JsonValue::Kind::kString) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("remediations[%zu].finding.%s is not a string", i, key));
-      }
-    }
-    const JsonValue* insn_off = finding->Find("insn_off");
-    if (insn_off == nullptr || insn_off->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("remediations[%zu].finding.insn_off is not a number", i));
-    }
-    const JsonValue* fixable = item.Find("fixable");
-    if (fixable == nullptr || fixable->kind != JsonValue::Kind::kBool) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("remediations[%zu].fixable is not a bool", i));
-    }
-    if (fixable->boolean) {
-      ++fixable_count;
-      const JsonValue* off = item.Find("insn_off");
-      if (off == nullptr || off->kind != JsonValue::Kind::kNumber) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("remediations[%zu].insn_off is not a number", i));
-      }
-      const JsonValue* scratch = item.Find("scratch_reg");
-      if (scratch == nullptr || scratch->kind != JsonValue::Kind::kNumber) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("remediations[%zu].scratch_reg is not a number", i));
-      }
-      for (const char* key : {"struct", "field", "guard"}) {
-        const JsonValue* member = item.Find(key);
-        if (member == nullptr || member->kind != JsonValue::Kind::kString) {
-          return Status(ErrorCode::kMalformedData,
-                        StrFormat("remediations[%zu].%s is not a string", i, key));
-        }
-      }
-    } else {
-      const JsonValue* reason = item.Find("reason");
-      if (reason == nullptr || reason->kind != JsonValue::Kind::kString) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("remediations[%zu].reason is not a string", i));
-      }
-    }
-  }
-  const JsonValue* verification = doc.Find("verification");
-  if (verification == nullptr ||
-      (verification->kind != JsonValue::Kind::kNull &&
-       verification->kind != JsonValue::Kind::kObject)) {
-    return Status(ErrorCode::kMalformedData,
-                  "\"verification\" must be null or an object");
-  }
-  if (verification->kind == JsonValue::Kind::kObject) {
-    for (const char* key : {"findings_before", "targeted", "findings_after",
-                            "targeted_remaining", "new_findings"}) {
-      const JsonValue* member = verification->Find(key);
-      if (member == nullptr || member->kind != JsonValue::Kind::kNumber) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("verification.%s is not a number", key));
-      }
-    }
-    const JsonValue* ok = verification->Find("ok");
-    if (ok == nullptr || ok->kind != JsonValue::Kind::kBool) {
-      return Status(ErrorCode::kMalformedData, "verification.ok is not a bool");
-    }
-  }
-  const JsonValue* summary = doc.Find("summary");
-  if (summary == nullptr || summary->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"summary\" object");
-  }
-  const JsonValue* total = summary->Find("findings");
-  const JsonValue* fixable = summary->Find("fixable");
-  const JsonValue* unfixable = summary->Find("unfixable");
-  for (const auto& [name, member] :
-       {std::pair<const char*, const JsonValue*>{"findings", total},
-        {"fixable", fixable},
-        {"unfixable", unfixable}}) {
-    if (member == nullptr || member->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("summary.%s is not a number", name));
-    }
-  }
-  if (fixable->number + unfixable->number != total->number) {
-    return Status(ErrorCode::kMalformedData,
-                  "summary.fixable + summary.unfixable does not equal summary.findings");
-  }
-  if (total->number != static_cast<double>(items->array.size())) {
-    return Status(ErrorCode::kMalformedData,
-                  "summary.findings does not match the remediations array length");
-  }
-  if (fixable->number != static_cast<double>(fixable_count)) {
-    return Status(ErrorCode::kMalformedData,
-                  "summary.fixable does not match the fixable remediations count");
-  }
-  return Status::Ok();
-}
-
-Status ValidateFuzzCampaignDoc(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  // Mirrors kFuzzCampaignSchema (src/fuzz/fuzz_campaign.h); obs cannot
-  // depend on the fuzz layer, so the marker is checked by value.
-  constexpr char kWantSchema[] = "depsurf.fuzz_campaign.v1";
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kWantSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kWantSchema));
-  }
-  const JsonValue* mode = doc.Find("mode");
-  if (mode == nullptr || mode->kind != JsonValue::Kind::kString ||
-      (mode->string != "image" && mode->string != "object")) {
-    return Status(ErrorCode::kMalformedData,
-                  "\"mode\" is not \"image\" or \"object\"");
-  }
-  const JsonValue* config = doc.Find("config");
-  if (config == nullptr || config->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"config\" object");
-  }
-  for (const char* key : {"rounds", "seed", "time_budget_ms", "max_ledger_entries"}) {
-    const JsonValue* member = config->Find(key);
-    if (member == nullptr || member->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("config.%s is not a number", key));
-    }
-  }
-  const JsonValue* seeds = doc.Find("seeds");
-  if (seeds == nullptr || seeds->kind != JsonValue::Kind::kArray ||
-      seeds->array.empty()) {
-    return Status(ErrorCode::kMalformedData, "missing or empty \"seeds\" array");
-  }
-  for (size_t i = 0; i < seeds->array.size(); ++i) {
-    if (seeds->array[i].kind != JsonValue::Kind::kString) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("seeds[%zu] is not a string", i));
-    }
-  }
-  const JsonValue* candidates = doc.Find("candidates");
-  if (candidates == nullptr || candidates->kind != JsonValue::Kind::kNumber) {
-    return Status(ErrorCode::kMalformedData, "missing \"candidates\" number");
-  }
-  const JsonValue* coverage = doc.Find("coverage");
-  if (coverage == nullptr || coverage->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"coverage\" object");
-  }
-  const JsonValue* tuples = coverage->Find("tuples");
-  const JsonValue* keys = coverage->Find("keys");
-  if (tuples == nullptr || tuples->kind != JsonValue::Kind::kNumber) {
-    return Status(ErrorCode::kMalformedData, "coverage.tuples is not a number");
-  }
-  if (keys == nullptr || keys->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "coverage.keys is not an array");
-  }
-  if (tuples->number != static_cast<double>(keys->array.size())) {
-    return Status(ErrorCode::kMalformedData,
-                  "coverage.tuples does not match coverage.keys length");
-  }
-  const JsonValue* growth = doc.Find("growth");
-  if (growth == nullptr || growth->kind != JsonValue::Kind::kArray ||
-      growth->array.empty()) {
-    return Status(ErrorCode::kMalformedData, "missing or empty \"growth\" array");
-  }
-  double prev_round = -1;
-  double prev_tuples = -1;
-  for (size_t i = 0; i < growth->array.size(); ++i) {
-    const JsonValue* round = growth->array[i].Find("round");
-    const JsonValue* count = growth->array[i].Find("tuples");
-    if (round == nullptr || round->kind != JsonValue::Kind::kNumber ||
-        count == nullptr || count->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("growth[%zu] lacks numeric round/tuples", i));
-    }
-    if (round->number < prev_round || count->number < prev_tuples) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("growth[%zu] is not monotonic", i));
-    }
-    prev_round = round->number;
-    prev_tuples = count->number;
-  }
-  if (prev_tuples != tuples->number) {
-    return Status(ErrorCode::kMalformedData,
-                  "growth curve does not end at the coverage total");
-  }
-  const JsonValue* kinds = doc.Find("kinds");
-  if (kinds == nullptr || kinds->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"kinds\" array");
-  }
-  for (size_t i = 0; i < kinds->array.size(); ++i) {
-    const JsonValue* name = kinds->array[i].Find("kind");
-    const JsonValue* attempts = kinds->array[i].Find("attempts");
-    const JsonValue* novel = kinds->array[i].Find("novel");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString ||
-        attempts == nullptr || attempts->kind != JsonValue::Kind::kNumber ||
-        novel == nullptr || novel->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("kinds[%zu] lacks kind/attempts/novel", i));
-    }
-    if (novel->number > attempts->number) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("kinds[%zu].novel exceeds its attempts", i));
-    }
-  }
-  const JsonValue* corpus = doc.Find("corpus");
-  if (corpus == nullptr || corpus->kind != JsonValue::Kind::kArray ||
-      corpus->array.empty()) {
-    return Status(ErrorCode::kMalformedData, "missing or empty \"corpus\" array");
-  }
-  for (size_t i = 0; i < corpus->array.size(); ++i) {
-    const JsonValue& entry = corpus->array[i];
-    for (const char* key :
-         {"index", "round", "fault_seed", "parent", "size", "tuple_count"}) {
-      const JsonValue* member = entry.Find(key);
-      if (member == nullptr || member->kind != JsonValue::Kind::kNumber) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("corpus[%zu].%s is not a number", i, key));
-      }
-    }
-    for (const char* key : {"name", "kind", "description"}) {
-      const JsonValue* member = entry.Find(key);
-      if (member == nullptr || member->kind != JsonValue::Kind::kString) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("corpus[%zu].%s is not a string", i, key));
-      }
-    }
-    const JsonValue* is_seed = entry.Find("seed");
-    if (is_seed == nullptr || is_seed->kind != JsonValue::Kind::kBool) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("corpus[%zu].seed is not a bool", i));
-    }
-    const JsonValue* index = entry.Find("index");
-    if (index->number != static_cast<double>(i)) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("corpus[%zu].index is out of order", i));
-    }
-    const JsonValue* parent = entry.Find("parent");
-    if (parent->number >= static_cast<double>(i) && !is_seed->boolean) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("corpus[%zu].parent is not an earlier entry", i));
-    }
-    const JsonValue* new_tuples = entry.Find("new_tuples");
-    if (new_tuples == nullptr || new_tuples->kind != JsonValue::Kind::kArray) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("corpus[%zu].new_tuples is not an array", i));
-    }
-  }
-  const JsonValue* minimized = doc.Find("minimized");
-  if (minimized == nullptr || minimized->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"minimized\" array");
-  }
-  for (size_t i = 0; i < minimized->array.size(); ++i) {
-    const JsonValue& index = minimized->array[i];
-    if (index.kind != JsonValue::Kind::kNumber ||
-        index.number >= static_cast<double>(corpus->array.size())) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("minimized[%zu] is not a corpus index", i));
-    }
-  }
-  const JsonValue* oracle = doc.Find("oracle");
-  if (oracle == nullptr || oracle->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"oracle\" object");
-  }
-  const JsonValue* disagreements = oracle->Find("disagreements");
-  if (disagreements == nullptr ||
-      disagreements->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData,
-                  "oracle.disagreements is not an array");
-  }
-  for (size_t i = 0; i < disagreements->array.size(); ++i) {
-    const JsonValue* violation = disagreements->array[i].Find("violation");
-    const JsonValue* fault_seed = disagreements->array[i].Find("fault_seed");
-    if (violation == nullptr || violation->kind != JsonValue::Kind::kString ||
-        fault_seed == nullptr || fault_seed->kind != JsonValue::Kind::kNumber) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("oracle.disagreements[%zu] lacks its replay key", i));
-    }
-  }
-  const JsonValue* hangs = doc.Find("hangs");
-  if (hangs == nullptr || hangs->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"hangs\" array");
-  }
-  const JsonValue* exit_code = doc.Find("exit_code");
-  if (exit_code == nullptr || exit_code->kind != JsonValue::Kind::kNumber ||
-      (exit_code->number != 0 && exit_code->number != 1 && exit_code->number != 2)) {
-    return Status(ErrorCode::kMalformedData, "\"exit_code\" is not 0, 1, or 2");
-  }
-  double want_exit = 0;
-  if (!hangs->array.empty()) {
-    want_exit = 1;
-  } else if (!disagreements->array.empty()) {
-    want_exit = 2;
-  }
-  if (exit_code->number != want_exit) {
-    return Status(ErrorCode::kMalformedData,
-                  "exit_code disagrees with the hang/disagreement arrays");
-  }
-  return Status::Ok();
-}
-
-Status ValidateServeReportDoc(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  // Mirrors kServeReportSchema (src/serve/serve.h); obs cannot depend on
-  // the serve layer, so the marker is checked by value.
-  constexpr char kWantSchema[] = "depsurf.serve_report.v1";
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kWantSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kWantSchema));
-  }
-  const JsonValue* jobs = doc.Find("jobs");
-  if (jobs == nullptr || jobs->kind != JsonValue::Kind::kNumber || jobs->number < 0) {
-    return Status(ErrorCode::kMalformedData, "\"jobs\" is not a nonnegative number");
-  }
-  const JsonValue* datasets = doc.Find("datasets");
-  if (datasets == nullptr || datasets->kind != JsonValue::Kind::kArray ||
-      datasets->array.empty()) {
-    return Status(ErrorCode::kMalformedData, "missing or empty \"datasets\" array");
-  }
-  for (size_t i = 0; i < datasets->array.size(); ++i) {
-    const JsonValue& entry = datasets->array[i];
-    const JsonValue* path = entry.Find("path");
-    if (path == nullptr || path->kind != JsonValue::Kind::kString) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("datasets[%zu].path is not a string", i));
-    }
-    const JsonValue* format = entry.Find("format");
-    if (format == nullptr || format->kind != JsonValue::Kind::kString ||
-        (format->string != "v1" && format->string != "v2")) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("datasets[%zu].format is not \"v1\" or \"v2\"", i));
-    }
-    const JsonValue* images = entry.Find("images");
-    if (images == nullptr || images->kind != JsonValue::Kind::kNumber ||
-        images->number < 0) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("datasets[%zu].images is not a count", i));
-    }
-  }
-  const JsonValue* requests = doc.Find("requests");
-  const JsonValue* ok = doc.Find("ok");
-  const JsonValue* errors = doc.Find("errors");
-  for (const auto& [name, member] :
-       {std::pair<const char*, const JsonValue*>{"requests", requests},
-        {"ok", ok},
-        {"errors", errors}}) {
-    if (member == nullptr || member->kind != JsonValue::Kind::kNumber ||
-        member->number < 0) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("\"%s\" is not a nonnegative number", name));
-    }
-  }
-  if (ok->number + errors->number != requests->number) {
-    return Status(ErrorCode::kMalformedData, "ok + errors != requests");
-  }
-  const JsonValue* cache = doc.Find("cache");
-  if (cache == nullptr || cache->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"cache\" object");
-  }
-  for (const char* key : {"hits", "misses", "entries", "capacity"}) {
-    const JsonValue* member = cache->Find(key);
-    if (member == nullptr || member->kind != JsonValue::Kind::kNumber ||
-        member->number < 0) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("cache.%s is not a nonnegative number", key));
-    }
-  }
-  if (cache->Find("hits")->number + cache->Find("misses")->number != ok->number) {
-    return Status(ErrorCode::kMalformedData, "cache hits + misses != ok responses");
-  }
-  if (cache->Find("entries")->number > cache->Find("misses")->number) {
-    return Status(ErrorCode::kMalformedData, "cache entries exceed recorded misses");
-  }
-  if (cache->Find("entries")->number > cache->Find("capacity")->number) {
-    return Status(ErrorCode::kMalformedData, "cache entries exceed the capacity");
-  }
-  return Status::Ok();
 }
 
 std::string CanonicalMaskedJson(const JsonValue& value) {

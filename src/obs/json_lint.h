@@ -1,11 +1,12 @@
-// Minimal JSON parser used to validate run reports without external
-// dependencies: full object/array/string/number/bool/null grammar, parsed
-// into a small DOM that preserves object key order. Powers the golden-schema
-// test, `depsurf metrics lint`, and the obs-smoke determinism check.
+// Minimal JSON parser without external dependencies: full
+// object/array/string/number/bool/null grammar, parsed into a small DOM that
+// preserves object key order. Documents are checked against their schemas
+// by schema.h (`depsurf metrics lint`); this header also holds the run-report
+// helpers and the masked canonical form behind the determinism checks.
 #ifndef DEPSURF_SRC_OBS_JSON_LINT_H_
 #define DEPSURF_SRC_OBS_JSON_LINT_H_
 
-#include <map>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -32,66 +33,18 @@ struct JsonValue {
   const JsonValue* Find(std::string_view key) const;
 };
 
+// Containers nested deeper than this are rejected. The deepest documents
+// the repo emits are span trees, a few dozen levels at most; the bound
+// keeps the recursive parser (and every walker over its DOM) off the end
+// of the stack on hostile input.
+inline constexpr size_t kMaxJsonDepth = 256;
+
 Result<JsonValue> ParseJson(std::string_view text);
 
-// Validates a depsurf.run_report.v1 document:
-//   - parses as JSON, has the schema marker and the five sections
-//     (spans/counters/gauges/histograms/diagnostics)
-//   - the diagnostics section is a well-formed entry array
-//   - at least `min_distinct_spans` distinct span names (tree-wide)
-//   - every name in `required_counters` is present under "counters"
-// Returns Ok or a message naming the first violation.
-Status ValidateRunReport(std::string_view json, size_t min_distinct_spans = 0,
-                         const std::vector<std::string>& required_counters = {});
-
-// Validates a parsed diagnostics entry array (the "diagnostics" section of
-// run reports, or the "entries" array of a depsurf.diagnostics.v1 doc):
-// every entry must carry severity/subsystem/code/message strings drawn from
-// the known enumerations plus a numeric offset (-1 = unknown). When
-// `labeled` is set, entries must also carry a "label" string (aggregates).
-Status ValidateDiagnosticsArray(const JsonValue& array, bool labeled = false);
-
-// Validates a depsurf.diagnostics.v1 document (`depsurf doctor --json`):
-// schema marker, "image" string, "health" object mapping subsystems to
-// clean/degraded/missing, "fatal" bool, and a valid "entries" array.
-Status ValidateDiagnosticsDoc(std::string_view json);
-
-// Validates a depsurf.analysis.v1 document (`depsurf analyze --json`):
-// schema marker, "object" string, "against" (null or an object with an
-// "images" count), "programs"/"relocs"/"findings" arrays whose entries
-// carry their required members, and a "summary" whose per-kind counts sum
-// to its "findings" total. The schema is defined by the analyzer layer;
-// this checks structure only, so the obs library stays dependency-free.
-Status ValidateAnalysisDoc(std::string_view json);
-
-// Validates a depsurf.remediation.v1 document (`depsurf fix --json`):
-// schema marker, "object" string, "against" (null or an object with an
-// "images" count), a "remediations" array whose entries carry the finding
-// they target plus either the guard insertion (insn_off, scratch_reg,
-// struct, field, guard) or a refusal reason, a "verification" block (null
-// or the before/after counts with an "ok" bool), and a "summary" whose
-// fixable + unfixable == findings == array length. The schema is defined
-// by the analyzer layer; structure only is checked here.
-Status ValidateRemediationDoc(std::string_view json);
-
-// Validates a depsurf.fuzz_campaign.v1 document (`depsurf fuzz --json`):
-// schema marker, mode ("image"/"object"), numeric config block, non-empty
-// seeds array, a coverage block whose key list matches its count, a growth
-// curve with non-decreasing rounds and tuple totals ending at the coverage
-// total, per-kind stats with novel <= attempts, a corpus whose entries
-// carry their replay keys (kind, fault_seed, round, parent), minimized
-// indices inside the corpus, oracle/hang arrays, and an exit_code in
-// {0,1,2} consistent with those arrays (hangs -> 1, disagreements -> 2).
-// The schema is defined by the fuzz layer; structure only is checked here.
-Status ValidateFuzzCampaignDoc(std::string_view json);
-
-// Validates a depsurf.serve_report.v1 document (`depsurf serve
-// --report-out`): schema marker, a nonnegative "jobs" number, a non-empty
-// "datasets" array ({path, format v1|v2, images >= 0} each), request
-// counters with ok + errors == requests, and a "cache" block whose
-// hits + misses == ok, entries <= misses, entries <= capacity. The schema
-// is defined by the serve layer; structure only is checked here.
-Status ValidateServeReportDoc(std::string_view json);
+// Calls `each` with every non-blank line of an NDJSON text, parsed; a parse
+// error or a failed call stops the walk with the 1-based line number.
+Status ForEachJsonLine(std::string_view text,
+                       const std::function<Status(const JsonValue&)>& each);
 
 // Non-fatal lint notes for a parsed run report or aggregate. Currently
 // flags deprecated gauge names (renamed in later schema revisions but

@@ -102,14 +102,6 @@ std::string PerfComparisonText(const PerfComparison& comparison);
 std::string PerfComparisonJson(const PerfComparison& comparison,
                                const PerfGateOptions& options);
 
-// Validates a depsurf.bench_report.v1 document (what every bench binary
-// emits): schema marker, bench name, stages with names and nonnegative
-// numeric seconds/items.
-Status ValidateBenchReport(std::string_view json);
-
-// Validates a depsurf.perf_compare.v1 document.
-Status ValidatePerfCompare(std::string_view json);
-
 }  // namespace obs
 }  // namespace depsurf
 

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "src/obs/run_report.h"
+#include "src/obs/schema.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -41,54 +42,6 @@ double MedianAbsDev(const std::vector<double>& values) {
     deviations.push_back(std::fabs(v - median));
   }
   return Median(std::move(deviations));
-}
-
-Status StringMember(const JsonValue& object, const char* key, std::string* out) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || value->kind != JsonValue::Kind::kString) {
-    return Status(ErrorCode::kMalformedData, StrFormat("missing string \"%s\"", key));
-  }
-  *out = value->string;
-  return Status::Ok();
-}
-
-Status NumberMember(const JsonValue& object, const char* key, double* out) {
-  const JsonValue* value = object.Find(key);
-  if (value == nullptr || value->kind != JsonValue::Kind::kNumber ||
-      !std::isfinite(value->number) || value->number < 0) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or negative number \"%s\"", key));
-  }
-  if (out != nullptr) {
-    *out = value->number;
-  }
-  return Status::Ok();
-}
-
-Result<std::vector<CriticalPathStep>> ParsePathSteps(const JsonValue& path) {
-  std::vector<CriticalPathStep> steps;
-  const JsonValue* array = path.Find("steps");
-  if (array == nullptr || array->kind != JsonValue::Kind::kArray) {
-    return Error(ErrorCode::kMalformedData, "critical_path without a \"steps\" array");
-  }
-  for (const JsonValue& entry : array->array) {
-    CriticalPathStep step;
-    if (Status s = StringMember(entry, "name", &step.name); !s.ok()) {
-      return Error(ErrorCode::kMalformedData, "critical_path step: " + s.error().message());
-    }
-    double dur = 0;
-    double self = 0;
-    if (Status s = NumberMember(entry, "dur_ns", &dur); !s.ok()) {
-      return Error(ErrorCode::kMalformedData, "critical_path step: " + s.error().message());
-    }
-    if (Status s = NumberMember(entry, "self_ns", &self); !s.ok()) {
-      return Error(ErrorCode::kMalformedData, "critical_path step: " + s.error().message());
-    }
-    step.dur_ns = static_cast<uint64_t>(dur);
-    step.self_ns = static_cast<uint64_t>(self);
-    steps.push_back(std::move(step));
-  }
-  return steps;
 }
 
 }  // namespace
@@ -190,125 +143,47 @@ std::string HistoryRecordJson(const HistoryRecord& record) {
 }
 
 Result<HistoryRecord> ParseHistoryRecord(const JsonValue& doc) {
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kPerfHistorySchema) {
-    return Error(ErrorCode::kMalformedData,
-                 StrFormat("missing or wrong schema marker (want %s)", kPerfHistorySchema));
-  }
+  DEPSURF_RETURN_IF_ERROR(CheckDocument("history", doc));
+  // The schema row has proven every member below present and typed.
+  auto number = [](const JsonValue& object, std::string_view key) {
+    return object.Find(key)->number;
+  };
   HistoryRecord record;
-  if (Status s = StringMember(doc, "label", &record.label); !s.ok()) {
-    return s.TakeError();
-  }
-  const JsonValue* recorded = doc.Find("recorded_unix_ms");
-  if (recorded == nullptr || recorded->kind != JsonValue::Kind::kNumber ||
-      !std::isfinite(recorded->number) || recorded->number < 0) {
-    return Error(ErrorCode::kMalformedData, "missing or negative recorded_unix_ms");
-  }
-  record.recorded_unix_ms = static_cast<int64_t>(recorded->number);
-  const JsonValue* host = doc.Find("host");
-  if (host == nullptr || host->kind != JsonValue::Kind::kObject) {
-    return Error(ErrorCode::kMalformedData, "missing \"host\" object");
-  }
-  if (Status s = StringMember(*host, "cpu_model", &record.host.cpu_model); !s.ok()) {
-    return Error(ErrorCode::kMalformedData, "host: " + s.error().message());
-  }
-  double cores = 0;
-  double page_size = 0;
-  if (Status s = NumberMember(*host, "cores", &cores); !s.ok()) {
-    return Error(ErrorCode::kMalformedData, "host: " + s.error().message());
-  }
-  if (Status s = NumberMember(*host, "page_size", &page_size); !s.ok()) {
-    return Error(ErrorCode::kMalformedData, "host: " + s.error().message());
-  }
-  record.host.cores = static_cast<int64_t>(cores);
-  record.host.page_size = static_cast<int64_t>(page_size);
-  const JsonValue* stages = doc.Find("stages");
-  if (stages == nullptr || stages->kind != JsonValue::Kind::kArray) {
-    return Error(ErrorCode::kMalformedData, "missing \"stages\" array");
-  }
-  for (size_t i = 0; i < stages->array.size(); ++i) {
-    const JsonValue& entry = stages->array[i];
-    HistoryStage stage;
-    if (Status s = StringMember(entry, "name", &stage.name); !s.ok() || stage.name.empty()) {
-      return Error(ErrorCode::kMalformedData, StrFormat("stage %zu: missing name", i));
-    }
-    double items = 0;
-    if (Status s = NumberMember(entry, "wall_seconds", &stage.wall_seconds); !s.ok()) {
-      return Error(ErrorCode::kMalformedData,
-                   StrFormat("stage %s: %s", stage.name.c_str(), s.error().message().c_str()));
-    }
-    if (Status s = NumberMember(entry, "items", &items); !s.ok()) {
-      return Error(ErrorCode::kMalformedData,
-                   StrFormat("stage %s: %s", stage.name.c_str(), s.error().message().c_str()));
-    }
-    stage.items = static_cast<uint64_t>(items);
-    record.stages.push_back(std::move(stage));
+  record.label = doc.Find("label")->string;
+  record.recorded_unix_ms = static_cast<int64_t>(number(doc, "recorded_unix_ms"));
+  const JsonValue& host = *doc.Find("host");
+  record.host.cpu_model = host.Find("cpu_model")->string;
+  record.host.cores = static_cast<int64_t>(number(host, "cores"));
+  record.host.page_size = static_cast<int64_t>(number(host, "page_size"));
+  for (const JsonValue& entry : doc.Find("stages")->array) {
+    record.stages.push_back(HistoryStage{entry.Find("name")->string,
+                                         number(entry, "wall_seconds"),
+                                         static_cast<uint64_t>(number(entry, "items"))});
   }
   const JsonValue* profile = doc.Find("profile");
   if (profile != nullptr && profile->kind == JsonValue::Kind::kObject) {
     record.profile.present = true;
-    double nodes = 0;
-    if (Status s = NumberMember(*profile, "span_nodes", &nodes); !s.ok()) {
-      return Error(ErrorCode::kMalformedData, "profile: " + s.error().message());
+    record.profile.span_nodes = static_cast<uint64_t>(number(*profile, "span_nodes"));
+    record.profile.serial_share_pct = number(*profile, "serial_share_pct");
+    const JsonValue& path = *profile->Find("critical_path");
+    record.profile.wall_ns = static_cast<uint64_t>(number(path, "wall_ns"));
+    record.profile.serial_self_ns = static_cast<uint64_t>(number(path, "serial_self_ns"));
+    for (const JsonValue& step : path.Find("steps")->array) {
+      record.profile.critical_path.push_back(
+          CriticalPathStep{step.Find("name")->string, static_cast<uint64_t>(number(step, "dur_ns")),
+                           static_cast<uint64_t>(number(step, "self_ns"))});
     }
-    record.profile.span_nodes = static_cast<uint64_t>(nodes);
-    if (Status s = NumberMember(*profile, "serial_share_pct", &record.profile.serial_share_pct);
-        !s.ok()) {
-      return Error(ErrorCode::kMalformedData, "profile: " + s.error().message());
-    }
-    const JsonValue* path = profile->Find("critical_path");
-    if (path == nullptr || path->kind != JsonValue::Kind::kObject) {
-      return Error(ErrorCode::kMalformedData, "profile without a \"critical_path\" object");
-    }
-    double wall = 0;
-    double serial_self = 0;
-    if (Status s = NumberMember(*path, "wall_ns", &wall); !s.ok()) {
-      return Error(ErrorCode::kMalformedData, "critical_path: " + s.error().message());
-    }
-    if (Status s = NumberMember(*path, "serial_self_ns", &serial_self); !s.ok()) {
-      return Error(ErrorCode::kMalformedData, "critical_path: " + s.error().message());
-    }
-    record.profile.wall_ns = static_cast<uint64_t>(wall);
-    record.profile.serial_self_ns = static_cast<uint64_t>(serial_self);
-    auto steps = ParsePathSteps(*path);
-    if (!steps.ok()) {
-      return steps.TakeError();
-    }
-    record.profile.critical_path = steps.TakeValue();
-  } else if (profile != nullptr && profile->kind != JsonValue::Kind::kNull) {
-    return Error(ErrorCode::kMalformedData, "\"profile\" must be an object or null");
   }
   return record;
 }
 
 Result<std::vector<HistoryRecord>> ParseHistoryNdjson(std::string_view text) {
   std::vector<HistoryRecord> records;
-  size_t line_no = 0;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    size_t end = text.find('\n', pos);
-    if (end == std::string_view::npos) {
-      end = text.size();
-    }
-    ++line_no;
-    std::string_view line = text.substr(pos, end - pos);
-    pos = end + 1;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) {
-      continue;
-    }
-    auto parsed = ParseJson(line);
-    if (!parsed.ok()) {
-      return Error(ErrorCode::kMalformedData,
-                   StrFormat("line %zu: %s", line_no, parsed.error().message().c_str()));
-    }
-    auto record = ParseHistoryRecord(*parsed);
-    if (!record.ok()) {
-      return Error(ErrorCode::kMalformedData,
-                   StrFormat("line %zu: %s", line_no, record.error().message().c_str()));
-    }
-    records.push_back(record.TakeValue());
-  }
+  DEPSURF_RETURN_IF_ERROR(ForEachJsonLine(text, [&](const JsonValue& doc) -> Status {
+    DEPSURF_ASSIGN_OR_RETURN(record, ParseHistoryRecord(doc));
+    records.push_back(std::move(record));
+    return Status::Ok();
+  }));
   return records;
 }
 
@@ -444,58 +319,6 @@ std::string TrendReportText(const TrendReport& report) {
                      trend.deviation_sigmas, trend.change_point ? "CHANGE-POINT" : "-");
   }
   return out;
-}
-
-Status ValidateTrendDoc(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kPerfTrendSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kPerfTrendSchema));
-  }
-  std::string host;
-  if (Status s = StringMember(doc, "host", &host); !s.ok() || host.empty()) {
-    return Status(ErrorCode::kMalformedData, "missing \"host\" string");
-  }
-  for (const char* key : {"records", "comparable", "window", "min_floor_seconds",
-                          "mad_sigmas", "floor_sigmas"}) {
-    if (Status s = NumberMember(doc, key, nullptr); !s.ok()) {
-      return s;
-    }
-  }
-  const JsonValue* stages = doc.Find("stages");
-  if (stages == nullptr || stages->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"stages\" array");
-  }
-  for (size_t i = 0; i < stages->array.size(); ++i) {
-    const JsonValue& stage = stages->array[i];
-    std::string name;
-    if (Status s = StringMember(stage, "name", &name); !s.ok() || name.empty()) {
-      return Status(ErrorCode::kMalformedData, StrFormat("stage %zu: missing name", i));
-    }
-    for (const char* key :
-         {"samples", "median_seconds", "mad_seconds", "latest_seconds", "floor_seconds"}) {
-      if (Status s = NumberMember(stage, key, nullptr); !s.ok()) {
-        return Status(ErrorCode::kMalformedData, name + ": " + s.error().message());
-      }
-    }
-    // Deviation is signed; only require a finite number.
-    const JsonValue* deviation = stage.Find("deviation_sigmas");
-    if (deviation == nullptr || deviation->kind != JsonValue::Kind::kNumber ||
-        !std::isfinite(deviation->number)) {
-      return Status(ErrorCode::kMalformedData, name + ": missing deviation_sigmas");
-    }
-    const JsonValue* change_point = stage.Find("change_point");
-    if (change_point == nullptr || change_point->kind != JsonValue::Kind::kBool) {
-      return Status(ErrorCode::kMalformedData, name + ": missing change_point bool");
-    }
-  }
-  return Status::Ok();
 }
 
 }  // namespace obs

@@ -169,9 +169,6 @@ std::map<std::string, double> AdaptiveStageFloors(const TrendReport& report);
 std::string TrendReportJson(const TrendReport& report);
 std::string TrendReportText(const TrendReport& report);
 
-// Validates a depsurf.perf_trend.v1 document (`metrics lint --kind=trend`).
-Status ValidateTrendDoc(std::string_view json);
-
 }  // namespace obs
 }  // namespace depsurf
 

@@ -116,11 +116,6 @@ std::string ProfileText(const Profile& profile);
 std::string FoldedStacks(const std::vector<SpanNode>& roots);
 Result<std::string> FoldedStacksFromReportJson(std::string_view json);
 
-// Validates a depsurf.profile.v1 document: schema marker, a well-formed
-// names table (string name, nonnegative numeric columns, self <= dur), a
-// critical_path section with consistent steps, and an executor section.
-Status ValidateProfileDoc(std::string_view json);
-
 }  // namespace obs
 }  // namespace depsurf
 

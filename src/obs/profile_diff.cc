@@ -7,6 +7,7 @@
 
 #include "src/obs/json_lint.h"
 #include "src/obs/run_report.h"
+#include "src/obs/schema.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -19,13 +20,6 @@ std::string I64(int64_t v) { return StrFormat("%lld", (long long)v); }
 
 int64_t Delta(uint64_t head, uint64_t base) {
   return static_cast<int64_t>(head) - static_cast<int64_t>(base);
-}
-
-uint64_t MemberU64(const JsonValue& object, const char* key) {
-  const JsonValue* value = object.Find(key);
-  return value != nullptr && value->kind == JsonValue::Kind::kNumber && value->number > 0
-             ? static_cast<uint64_t>(value->number)
-             : 0;
 }
 
 void AppendColumns(std::string& out, const ProfileNameRow& row) {
@@ -65,49 +59,6 @@ std::string PathNames(const std::vector<CriticalPathStep>& steps) {
     out += step.name;
   }
   return out;
-}
-
-Status ColumnsOk(const JsonValue& object, const std::string& label, bool signed_ok) {
-  for (const char* key :
-       {"count", "dur_ns", "self_ns", "cpu_ns", "alloc_count", "alloc_bytes"}) {
-    const JsonValue* value = object.Find(key);
-    if (value == nullptr || value->kind != JsonValue::Kind::kNumber ||
-        !std::isfinite(value->number) || (!signed_ok && value->number < 0)) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("%s: missing%s number \"%s\"", label.c_str(),
-                              signed_ok ? "" : " or negative", key));
-    }
-  }
-  return Status::Ok();
-}
-
-Status PathSideOk(const JsonValue& path, const char* key) {
-  const JsonValue* side = path.Find(key);
-  if (side == nullptr || side->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("critical_path without a \"%s\" object", key));
-  }
-  for (const char* member : {"wall_ns", "serial_self_ns", "serial_share_pct"}) {
-    const JsonValue* value = side->Find(member);
-    if (value == nullptr || value->kind != JsonValue::Kind::kNumber ||
-        !std::isfinite(value->number) || value->number < 0) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("critical_path %s: missing or negative \"%s\"", key, member));
-    }
-  }
-  const JsonValue* steps = side->Find("steps");
-  if (steps == nullptr || steps->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("critical_path %s: missing \"steps\" array", key));
-  }
-  for (const JsonValue& step : steps->array) {
-    const JsonValue* name = step.Find("name");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString || name->string.empty()) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("critical_path %s: step without a name", key));
-    }
-  }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -172,68 +123,44 @@ ProfileDiff DiffProfiles(const Profile& base, const Profile& head, size_t top_n)
 }
 
 Result<Profile> ParseProfileDoc(std::string_view json) {
-  // Lean on the schema validator first so extraction below can assume
-  // well-formed members.
-  if (Status valid = ValidateProfileDoc(json); !valid.ok()) {
-    return valid.TakeError();
-  }
   auto parsed = ParseJson(json);
   if (!parsed.ok()) {
     return parsed.TakeError();
   }
   const JsonValue& doc = *parsed;
+  DEPSURF_RETURN_IF_ERROR(CheckDocument("profile", doc));
+  // The schema row has proven every member below present, typed and
+  // nonnegative.
+  auto u64 = [](const JsonValue& object, std::string_view key) {
+    return static_cast<uint64_t>(object.Find(key)->number);
+  };
   Profile profile;
-  profile.span_nodes = MemberU64(doc, "span_nodes");
-  const JsonValue* names = doc.Find("names");
-  if (names != nullptr && names->kind == JsonValue::Kind::kArray) {
-    for (const JsonValue& entry : names->array) {
-      ProfileNameRow row;
-      const JsonValue* name = entry.Find("name");
-      row.name = name != nullptr ? name->string : "";
-      row.count = MemberU64(entry, "count");
-      row.dur_ns = MemberU64(entry, "dur_ns");
-      row.self_ns = MemberU64(entry, "self_ns");
-      row.cpu_ns = MemberU64(entry, "cpu_ns");
-      row.alloc_count = MemberU64(entry, "alloc_count");
-      row.alloc_bytes = MemberU64(entry, "alloc_bytes");
-      profile.names.push_back(std::move(row));
-    }
+  profile.span_nodes = u64(doc, "span_nodes");
+  for (const JsonValue& entry : doc.Find("names")->array) {
+    profile.names.push_back(ProfileNameRow{entry.Find("name")->string, u64(entry, "count"),
+                                           u64(entry, "dur_ns"), u64(entry, "self_ns"),
+                                           u64(entry, "cpu_ns"), u64(entry, "alloc_count"),
+                                           u64(entry, "alloc_bytes")});
   }
-  const JsonValue* path = doc.Find("critical_path");
-  if (path != nullptr && path->kind == JsonValue::Kind::kObject) {
-    profile.wall_ns = MemberU64(*path, "wall_ns");
-    profile.serial_self_ns = MemberU64(*path, "serial_self_ns");
-    const JsonValue* steps = path->Find("steps");
-    if (steps != nullptr && steps->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& entry : steps->array) {
-        CriticalPathStep step;
-        const JsonValue* name = entry.Find("name");
-        step.name = name != nullptr ? name->string : "";
-        step.dur_ns = MemberU64(entry, "dur_ns");
-        step.self_ns = MemberU64(entry, "self_ns");
-        profile.critical_path.push_back(std::move(step));
-      }
-    }
+  const JsonValue& path = *doc.Find("critical_path");
+  profile.wall_ns = u64(path, "wall_ns");
+  profile.serial_self_ns = u64(path, "serial_self_ns");
+  for (const JsonValue& entry : path.Find("steps")->array) {
+    profile.critical_path.push_back(
+        CriticalPathStep{entry.Find("name")->string, u64(entry, "dur_ns"), u64(entry, "self_ns")});
   }
-  const JsonValue* executor = doc.Find("executor");
-  if (executor != nullptr && executor->kind == JsonValue::Kind::kObject) {
-    profile.executor.window = static_cast<int64_t>(MemberU64(*executor, "window"));
-    profile.executor.wall_ms = static_cast<int64_t>(MemberU64(*executor, "wall_ms"));
-    profile.executor.serialize_stall_us = MemberU64(*executor, "serialize_stall_us");
-    profile.executor.queue_waits = MemberU64(*executor, "queue_waits");
-    const JsonValue* workers = executor->Find("workers");
-    if (workers != nullptr && workers->kind == JsonValue::Kind::kArray) {
-      for (const JsonValue& worker : workers->array) {
-        profile.executor.worker_busy_ms.emplace_back(
-            static_cast<int64_t>(MemberU64(worker, "lane")),
-            static_cast<int64_t>(MemberU64(worker, "busy_ms")));
-      }
-    }
-    profile.executor.present = profile.executor.window != 0 ||
-                               !profile.executor.worker_busy_ms.empty() ||
-                               profile.executor.serialize_stall_us != 0 ||
-                               profile.executor.queue_waits != 0;
+  const JsonValue& executor = *doc.Find("executor");
+  ExecutorStats& stats = profile.executor;
+  stats.window = static_cast<int64_t>(u64(executor, "window"));
+  stats.wall_ms = static_cast<int64_t>(u64(executor, "wall_ms"));
+  stats.serialize_stall_us = u64(executor, "serialize_stall_us");
+  stats.queue_waits = u64(executor, "queue_waits");
+  for (const JsonValue& worker : executor.Find("workers")->array) {
+    stats.worker_busy_ms.emplace_back(static_cast<int64_t>(u64(worker, "lane")),
+                                      static_cast<int64_t>(u64(worker, "busy_ms")));
   }
+  stats.present = stats.window != 0 || !stats.worker_busy_ms.empty() ||
+                  stats.serialize_stall_us != 0 || stats.queue_waits != 0;
   return profile;
 }
 
@@ -315,104 +242,6 @@ std::string ProfileDiffText(const ProfileDiff& diff) {
   out += "  base: " + PathNames(diff.base_path) + "\n";
   out += "  head: " + PathNames(diff.head_path) + "\n";
   return out;
-}
-
-Status ValidateProfileDiffDoc(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kProfileDiffSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kProfileDiffSchema));
-  }
-  for (const char* key : {"base_span_nodes", "head_span_nodes"}) {
-    const JsonValue* value = doc.Find(key);
-    if (value == nullptr || value->kind != JsonValue::Kind::kNumber || value->number < 0) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("missing or negative number \"%s\"", key));
-    }
-  }
-  auto rows_ok = [&](const char* section) -> Status {
-    const JsonValue* rows = doc.Find(section);
-    if (rows == nullptr || rows->kind != JsonValue::Kind::kArray) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("missing \"%s\" array", section));
-    }
-    for (size_t i = 0; i < rows->array.size(); ++i) {
-      const JsonValue& row = rows->array[i];
-      const JsonValue* name = row.Find("name");
-      if (name == nullptr || name->kind != JsonValue::Kind::kString || name->string.empty()) {
-        return Status(ErrorCode::kMalformedData,
-                      StrFormat("%s entry %zu: missing name", section, i));
-      }
-      const JsonValue* in_base = row.Find("in_base");
-      const JsonValue* in_head = row.Find("in_head");
-      for (const auto& [flag, value] : {std::pair<const char*, const JsonValue*>{
-                                            "in_base", in_base},
-                                        std::pair<const char*, const JsonValue*>{
-                                            "in_head", in_head}}) {
-        if (value == nullptr || value->kind != JsonValue::Kind::kBool) {
-          return Status(ErrorCode::kMalformedData,
-                        StrFormat("%s: missing bool \"%s\"", name->string.c_str(), flag));
-        }
-      }
-      if (!in_base->boolean && !in_head->boolean) {
-        return Status(ErrorCode::kMalformedData,
-                      name->string + ": row in neither base nor head");
-      }
-      for (const char* side : {"base", "head"}) {
-        const JsonValue* columns = row.Find(side);
-        if (columns == nullptr || columns->kind != JsonValue::Kind::kObject) {
-          return Status(ErrorCode::kMalformedData,
-                        StrFormat("%s: missing \"%s\" object", name->string.c_str(), side));
-        }
-        if (Status s = ColumnsOk(*columns, name->string + "." + side, false); !s.ok()) {
-          return s;
-        }
-      }
-      const JsonValue* delta = row.Find("delta");
-      if (delta == nullptr || delta->kind != JsonValue::Kind::kObject) {
-        return Status(ErrorCode::kMalformedData,
-                      name->string + ": missing \"delta\" object");
-      }
-      if (Status s = ColumnsOk(*delta, name->string + ".delta", true); !s.ok()) {
-        return s;
-      }
-    }
-    return Status::Ok();
-  };
-  if (Status s = rows_ok("names"); !s.ok()) {
-    return s;
-  }
-  if (Status s = rows_ok("top_movers"); !s.ok()) {
-    return s;
-  }
-  const JsonValue* path = doc.Find("critical_path");
-  if (path == nullptr || path->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "missing \"critical_path\" object");
-  }
-  for (const char* side : {"base", "head"}) {
-    if (Status s = PathSideOk(*path, side); !s.ok()) {
-      return s;
-    }
-  }
-  const JsonValue* delta = path->Find("delta");
-  if (delta == nullptr || delta->kind != JsonValue::Kind::kObject) {
-    return Status(ErrorCode::kMalformedData, "critical_path without a \"delta\" object");
-  }
-  for (const char* key : {"wall_ns", "serial_self_ns"}) {
-    const JsonValue* value = delta->Find(key);
-    if (value == nullptr || value->kind != JsonValue::Kind::kNumber ||
-        !std::isfinite(value->number)) {
-      return Status(ErrorCode::kMalformedData,
-                    StrFormat("critical_path delta: missing number \"%s\"", key));
-    }
-  }
-  return Status::Ok();
 }
 
 }  // namespace obs

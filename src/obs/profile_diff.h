@@ -96,11 +96,6 @@ Result<Profile> ParseProfileDoc(std::string_view json);
 std::string ProfileDiffJson(const ProfileDiff& diff);
 std::string ProfileDiffText(const ProfileDiff& diff);
 
-// Validates a depsurf.profile_diff.v1 document
-// (`metrics lint --kind=profile_diff`). Delta columns may be negative;
-// base/head columns must not.
-Status ValidateProfileDiffDoc(std::string_view json);
-
 }  // namespace obs
 }  // namespace depsurf
 

@@ -272,34 +272,5 @@ Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports) {
   return out;
 }
 
-Status ValidateAggReport(std::string_view json) {
-  auto parsed = ParseJson(json);
-  if (!parsed.ok()) {
-    return parsed.TakeError();
-  }
-  const JsonValue& doc = *parsed;
-  const JsonValue* schema = doc.Find("schema");
-  if (schema == nullptr || schema->kind != JsonValue::Kind::kString ||
-      schema->string != kRunReportAggSchema) {
-    return Status(ErrorCode::kMalformedData,
-                  StrFormat("missing or wrong schema marker (want %s)", kRunReportAggSchema));
-  }
-  const JsonValue* reports = doc.Find("reports");
-  if (reports == nullptr || reports->kind != JsonValue::Kind::kNumber ||
-      reports->number < 1) {
-    return Status(ErrorCode::kMalformedData, "missing or empty \"reports\" count");
-  }
-  const JsonValue* sources = doc.Find("sources");
-  if (sources == nullptr || sources->kind != JsonValue::Kind::kArray) {
-    return Status(ErrorCode::kMalformedData, "missing \"sources\" array");
-  }
-  for (const char* section : {"spans", "counters", "gauges", "histograms", "diagnostics"}) {
-    if (doc.Find(section) == nullptr) {
-      return Status(ErrorCode::kMalformedData, StrFormat("missing section %s", section));
-    }
-  }
-  return ValidateDiagnosticsArray(*doc.Find("diagnostics"), /*labeled=*/true);
-}
-
 }  // namespace obs
 }  // namespace depsurf

@@ -40,11 +40,6 @@ struct LabeledReport {
 // Merges the given documents into a run_report_agg.v1 document.
 Result<std::string> MergeRunReports(const std::vector<LabeledReport>& reports);
 
-// Validates a depsurf.run_report_agg.v1 document: schema marker, a
-// "reports" count, the "sources" provenance array, and the four merged
-// sections.
-Status ValidateAggReport(std::string_view json);
-
 }  // namespace obs
 }  // namespace depsurf
 

@@ -36,14 +36,6 @@ std::string TraceEventJson(const std::vector<SpanNode>& roots);
 // Serializes the global SpanCollector to `path` (what --trace-out does).
 Status WriteGlobalTrace(const std::string& path);
 
-// Validates a parsed trace document: a "traceEvents" array whose members
-// are "X" events (name, nonnegative numeric ts/dur/pid/tid, nondecreasing
-// ts across the array) or "M" metadata events (pid/tid plus args.name).
-// When `expect_events` is nonnegative the "X" event count must match it
-// exactly (cross-check against CountReportSpanNodes of the run report
-// from the same run); metadata events are not counted.
-Status ValidateTrace(const JsonValue& trace, int64_t expect_events = -1);
-
 }  // namespace obs
 }  // namespace depsurf
 

@@ -29,10 +29,11 @@
 
 #include "src/core/dataset_io.h"
 #include "src/core/dependency_set.h"
+#include "src/obs/schema.h"
 
 namespace depsurf {
 
-inline constexpr char kServeReportSchema[] = "depsurf.serve_report.v1";
+using obs::kServeReportSchema;
 
 struct ServeOptions {
   // Width of the concurrent request window. 0 auto-sizes like study builds:

@@ -49,6 +49,7 @@
 #include "src/obs/profile_diff.h"
 #include "src/obs/report_merge.h"
 #include "src/obs/run_report.h"
+#include "src/obs/schema.h"
 #include "src/obs/trace_export.h"
 #include "src/serve/serve.h"
 #include "src/study/study.h"
@@ -574,109 +575,44 @@ int CmdMetricsCanon(const Args& args) {
   return 0;
 }
 
-// The --kind values `metrics lint` checks with a plain schema validator.
-struct LintKind {
-  const char* kind;
-  Status (*validate)(std::string_view);
-  const char* schema;
-};
-
-constexpr LintKind kLintKinds[] = {
-    {"agg", obs::ValidateAggReport, obs::kRunReportAggSchema},
-    {"bench", obs::ValidateBenchReport, obs::kBenchReportSchema},
-    {"perf", obs::ValidatePerfCompare, obs::kPerfCompareSchema},
-    {"diag", obs::ValidateDiagnosticsDoc, obs::kDiagnosticsSchema},
-    {"analysis", obs::ValidateAnalysisDoc, kAnalysisSchema},
-    {"remediation", obs::ValidateRemediationDoc, kRemediationSchema},
-    {"profile", obs::ValidateProfileDoc, obs::kProfileSchema},
-    {"trend", obs::ValidateTrendDoc, obs::kPerfTrendSchema},
-    {"profile_diff", obs::ValidateProfileDiffDoc, obs::kProfileDiffSchema},
-    {"fuzz", obs::ValidateFuzzCampaignDoc, kFuzzCampaignSchema},
-    {"serve", obs::ValidateServeReportDoc, kServeReportSchema},
-};
-
-// Prints the lint notes of a run report or aggregate (silent when the text
-// does not parse; the validator has already judged it).
-void PrintLintNotes(const std::string& path, const std::string& text) {
-  if (auto json = obs::ParseJson(text); json.ok()) {
-    for (const std::string& note : obs::RunReportLintNotes(*json)) {
-      printf("note: %s: %s\n", path.c_str(), note.c_str());
-    }
-  }
-}
-
-// `metrics lint` validates an observability document, dispatching on --kind.
+// `metrics lint` checks an observability document against the schema row
+// of its --kind (src/obs/schema.cc); only the per-kind arguments are read
+// here.
 int CmdMetricsLint(const Args& args) {
   const std::string& path = args.pos[0];
-  auto read = ReadTextFile(path);
-  if (!read.ok()) {
-    return DiagError(read.error());
+  auto text = ReadTextFile(path);
+  if (!text.ok()) {
+    return DiagError(text.error());
   }
-  const std::string& text = *read;
   std::string kind = args.Text("kind", "report");
-  if (kind == "report") {
-    Status valid = obs::ValidateRunReport(text, static_cast<size_t>(args.U64("min-spans", 0)),
-                                          SplitList(args.Text("require")));
-    if (!valid.ok()) {
-      return DiagError(path, valid.error());
-    }
-    PrintLintNotes(path, text);
-    printf("%s: valid %s (%zu distinct spans)\n", path.c_str(), obs::kRunReportSchema,
-           obs::CollectSpanNames(*obs::ParseJson(text)).size());
-    return 0;
+  if (!obs::IsLintKind(kind)) {
+    return DiagError("unknown --kind=" + kind + " (valid kinds: " + obs::LintKindNames() + ")");
   }
-  if (kind == "history") {
-    size_t records = 0;
-    Status valid = obs::ValidateHistoryNdjson(text, &records);
-    if (!valid.ok()) {
-      return DiagError(path, valid.error());
+  obs::LintOptions options;
+  options.min_distinct_spans = static_cast<size_t>(args.U64("min-spans", 0));
+  options.required_counters = SplitList(args.Text("require"));
+  std::string report_path = args.Text("report");
+  if (!report_path.empty()) {
+    auto report_text = ReadTextFile(report_path);
+    if (!report_text.ok()) {
+      return DiagError(report_text.error());
     }
-    printf("%s: valid %s (%zu records)\n", path.c_str(), obs::kPerfHistorySchema, records);
-    return 0;
+    auto report = obs::ParseJson(*report_text);
+    if (!report.ok()) {
+      return DiagError(report_path, report.error());
+    }
+    options.expect_events = static_cast<int64_t>(obs::CountReportSpanNodes(*report));
   }
-  if (kind == "trace") {
-    auto json = obs::ParseJson(text);
-    if (!json.ok()) {
-      return DiagError(path, json.error());
-    }
-    int64_t expect_events = -1;
-    std::string report_path = args.Text("report");
-    if (!report_path.empty()) {
-      auto report_text = ReadTextFile(report_path);
-      if (!report_text.ok()) {
-        return DiagError(report_text.error());
-      }
-      auto report = obs::ParseJson(*report_text);
-      if (!report.ok()) {
-        return DiagError(report_path, report.error());
-      }
-      expect_events = static_cast<int64_t>(obs::CountReportSpanNodes(*report));
-    }
-    Status valid = obs::ValidateTrace(*json, expect_events);
-    if (!valid.ok()) {
-      return DiagError(path, valid.error());
-    }
-    printf("%s: valid trace_event JSON (%zu events)\n", path.c_str(),
-           json->Find("traceEvents")->array.size());
-    return 0;
+  obs::LintOutcome outcome;
+  Status valid = obs::LintDocument(kind, *text, options, &outcome);
+  if (!valid.ok()) {
+    return DiagError(path, valid.error());
   }
-  std::string kinds = "report|history|trace";
-  for (const LintKind& entry : kLintKinds) {
-    kinds += std::string("|") + entry.kind;
-    if (kind != entry.kind) {
-      continue;
-    }
-    Status valid = entry.validate(text);
-    if (!valid.ok()) {
-      return DiagError(path, valid.error());
-    }
-    if (kind == "agg") {
-      PrintLintNotes(path, text);
-    }
-    printf("%s: valid %s\n", path.c_str(), entry.schema);
-    return 0;
+  for (const std::string& note : outcome.notes) {
+    printf("note: %s: %s\n", path.c_str(), note.c_str());
   }
-  return DiagError("unknown --kind=" + kind + " (valid kinds: " + kinds + ")");
+  printf("%s: valid %s\n", path.c_str(), outcome.summary.c_str());
+  return 0;
 }
 
 // `report flame REPORT.json [--out=FILE]`: folded stacks

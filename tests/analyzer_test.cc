@@ -17,6 +17,7 @@
 #include "src/kernelgen/image_builder.h"
 #include "src/kernelgen/scripted.h"
 #include "src/obs/json_lint.h"
+#include "src/obs/schema.h"
 
 namespace depsurf {
 namespace {
@@ -424,20 +425,20 @@ TEST(AnalysisJsonTest, DeterministicAcrossRuns) {
 
 TEST(AnalysisJsonTest, GuardedProbeLintsAndCarriesVerdicts) {
   std::string json = AnalysisToJson(AnalyzeObject(BuildGuardedProbe()));
-  EXPECT_TRUE(obs::ValidateAnalysisDoc(json).ok())
-      << obs::ValidateAnalysisDoc(json).ToString();
+  EXPECT_TRUE(obs::LintDocument("analysis", json).ok())
+      << obs::LintDocument("analysis", json).ToString();
   EXPECT_NE(json.find("\"unguarded\": false"), std::string::npos);
   EXPECT_NE(json.find("\"field\": \"rq_disk\""), std::string::npos);
 }
 
 TEST(AnalysisJsonTest, LintRejectsTamperedSummary) {
   std::string json = AnalysisToJson(AnalyzeObject(BuildRawOffsetProbe()));
-  ASSERT_TRUE(obs::ValidateAnalysisDoc(json).ok());
+  ASSERT_TRUE(obs::LintDocument("analysis", json).ok());
   size_t pos = json.find("\"raw_offset_deref\": 1");
   ASSERT_NE(pos, std::string::npos);
   json.replace(pos, std::string("\"raw_offset_deref\": 1").size(),
                "\"raw_offset_deref\": 2");
-  EXPECT_FALSE(obs::ValidateAnalysisDoc(json).ok());
+  EXPECT_FALSE(obs::LintDocument("analysis", json).ok());
 }
 
 }  // namespace

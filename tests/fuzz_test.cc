@@ -18,6 +18,7 @@
 #include "src/kernelgen/image_builder.h"
 #include "src/kernelgen/rates.h"
 #include "src/obs/json_lint.h"
+#include "src/obs/schema.h"
 #include "src/study/study.h"
 
 namespace depsurf {
@@ -224,7 +225,7 @@ TEST(FuzzGuardTest, ZeroBudgetRunsInline) {
 TEST(FuzzReportTest, RenderedCampaignValidates) {
   FuzzCampaignResult result = RunImageCampaign(24, 9);
   std::string json = RenderFuzzCampaignJson(result);
-  Status valid = obs::ValidateFuzzCampaignDoc(json);
+  Status valid = obs::LintDocument("fuzz", json);
   EXPECT_TRUE(valid.ok()) << valid.ToString();
 }
 
@@ -236,17 +237,17 @@ TEST(FuzzReportTest, LintRejectsTamperedDocuments) {
   size_t at = wrong_schema.find("fuzz_campaign.v1");
   ASSERT_NE(at, std::string::npos);
   wrong_schema.replace(at, 16, "fuzz_campaign.v9");
-  EXPECT_FALSE(obs::ValidateFuzzCampaignDoc(wrong_schema).ok());
+  EXPECT_FALSE(obs::LintDocument("fuzz", wrong_schema).ok());
 
   // exit_code must agree with the (empty) hang/disagreement arrays.
   std::string wrong_exit = json;
   at = wrong_exit.rfind("\"exit_code\": 0");
   ASSERT_NE(at, std::string::npos);
   wrong_exit.replace(at, 14, "\"exit_code\": 2");
-  EXPECT_FALSE(obs::ValidateFuzzCampaignDoc(wrong_exit).ok());
+  EXPECT_FALSE(obs::LintDocument("fuzz", wrong_exit).ok());
 
-  EXPECT_FALSE(obs::ValidateFuzzCampaignDoc("{}").ok());
-  EXPECT_FALSE(obs::ValidateFuzzCampaignDoc("not json").ok());
+  EXPECT_FALSE(obs::LintDocument("fuzz", "{}").ok());
+  EXPECT_FALSE(obs::LintDocument("fuzz", "not json").ok());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profile.h"
 #include "src/obs/run_report.h"
+#include "src/obs/schema.h"
 #include "src/obs/span.h"
 #include "src/obs/trace_export.h"
 #include "src/study/study.h"
@@ -281,11 +282,12 @@ TEST(TraceExportTest, EveryNodeBecomesOneOrderedEvent) {
   std::vector<obs::SpanNode> roots = {r1, r2};
   EXPECT_EQ(obs::CountSpanNodes(roots), 3u);
 
-  auto trace = obs::ParseJson(obs::TraceEventJson(roots));
+  const std::string trace_json = obs::TraceEventJson(roots);
+  auto trace = obs::ParseJson(trace_json);
   ASSERT_TRUE(trace.ok()) << trace.error().ToString();
   // Metadata (thread_name) events don't count toward the span cross-check.
-  EXPECT_TRUE(obs::ValidateTrace(*trace, 3).ok());
-  EXPECT_FALSE(obs::ValidateTrace(*trace, 4).ok());  // count cross-check bites
+  EXPECT_TRUE(obs::LintDocument("trace", trace_json, {.expect_events = 3}).ok());
+  EXPECT_FALSE(obs::LintDocument("trace", trace_json, {.expect_events = 4}).ok());
 
   const obs::JsonValue* events = trace->Find("traceEvents");
   ASSERT_NE(events, nullptr);
@@ -355,9 +357,13 @@ TEST(RunReportTest, GoldenSchemaWithMaskedTimings) {
 
   // The masked document is identical across serializations and validates.
   EXPECT_EQ(json, RunReportJson(collector, registry, masked));
-  EXPECT_TRUE(obs::ValidateRunReport(json, 2, {"golden.counter"}).ok());
-  EXPECT_FALSE(obs::ValidateRunReport(json, 3).ok());  // only 2 distinct names
-  EXPECT_FALSE(obs::ValidateRunReport(json, 0, {"missing.counter"}).ok());
+  EXPECT_TRUE(obs::LintDocument("report", json,
+                                 {.min_distinct_spans = 2, .required_counters = {"golden.counter"}})
+                  .ok());
+  // Only 2 distinct names; no such counter.
+  EXPECT_FALSE(obs::LintDocument("report", json, {.min_distinct_spans = 3}).ok());
+  EXPECT_FALSE(
+      obs::LintDocument("report", json, {.required_counters = {"missing.counter"}}).ok());
 
   auto parsed = obs::ParseJson(json);
   ASSERT_TRUE(parsed.ok());
@@ -449,22 +455,22 @@ TEST(DiagnosticsTest, DoctorDocValidation) {
       "\"tracepoint\": \"clean\", \"syscall\": \"missing\"}, \"fatal\": false, "
       "\"entries\": [{\"severity\": \"degraded\", \"subsystem\": \"dwarf\", "
       "\"code\": \"malformed_data\", \"offset\": 452, \"message\": \"boom\"}]}";
-  EXPECT_TRUE(obs::ValidateDiagnosticsDoc(good).ok());
+  EXPECT_TRUE(obs::LintDocument("diag", good).ok());
 
   // Wrong schema string.
-  EXPECT_FALSE(obs::ValidateDiagnosticsDoc(
+  EXPECT_FALSE(obs::LintDocument("diag",
                    "{\"schema\": \"depsurf.run_report.v1\", \"image\": \"x\", "
                    "\"health\": {}, \"fatal\": false, \"entries\": []}")
                    .ok());
   // Health state outside the enum.
-  EXPECT_FALSE(obs::ValidateDiagnosticsDoc(
+  EXPECT_FALSE(obs::LintDocument("diag",
                    "{\"schema\": \"depsurf.diagnostics.v1\", \"image\": \"x\", "
                    "\"health\": {\"elf\": \"fine\", \"dwarf\": \"clean\", \"btf\": \"clean\", "
                    "\"tracepoint\": \"clean\", \"syscall\": \"clean\"}, "
                    "\"fatal\": false, \"entries\": []}")
                    .ok());
   // Entry missing a required field (no message).
-  EXPECT_FALSE(obs::ValidateDiagnosticsDoc(
+  EXPECT_FALSE(obs::LintDocument("diag",
                    "{\"schema\": \"depsurf.diagnostics.v1\", \"image\": \"x\", "
                    "\"health\": {\"elf\": \"clean\", \"dwarf\": \"clean\", \"btf\": \"clean\", "
                    "\"tracepoint\": \"clean\", \"syscall\": \"clean\"}, \"fatal\": true, "
@@ -483,6 +489,23 @@ TEST(JsonLintTest, ParsesAndRejects) {
   EXPECT_FALSE(obs::ParseJson("{\"a\": }").ok());
   EXPECT_FALSE(obs::ParseJson("{\"a\": 1} trailing").ok());
   EXPECT_FALSE(obs::ParseJson("[1, 2,]").ok());
+
+  // Nesting is bounded: a hostile document is a typed error, not a stack
+  // overflow, while the bound itself still parses.
+  auto at_bound = obs::ParseJson(std::string(obs::kMaxJsonDepth, '[') +
+                                 std::string(obs::kMaxJsonDepth, ']'));
+  EXPECT_TRUE(at_bound.ok()) << at_bound.error().ToString();
+  for (const std::string& open : {std::string("["), std::string("{\"a\": ")}) {
+    std::string deep;
+    for (int i = 0; i < 300000; ++i) {
+      deep += open;
+    }
+    auto rejected = obs::ParseJson(deep);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.error().code(), ErrorCode::kMalformedData);
+    EXPECT_NE(rejected.error().message().find("nested deeper than 256"), std::string::npos)
+        << rejected.error().message();
+  }
 }
 
 TEST(ContextTest, CurrentFallsBackToRootWrappingTheGlobals) {
@@ -565,7 +588,10 @@ TEST(ContextTest, ContextRunReportSerializesOwnCollectors) {
   ctx.diagnostics().Add(entry);
 
   std::string json = obs::ContextRunReportJson(ctx);
-  EXPECT_TRUE(obs::ValidateRunReport(json, 1, {"ctx.report_counter"}).ok());
+  EXPECT_TRUE(obs::LintDocument(
+                  "report", json,
+                  {.min_distinct_spans = 1, .required_counters = {"ctx.report_counter"}})
+                  .ok());
   EXPECT_NE(json.find("ctx.report_span"), std::string::npos);
   EXPECT_NE(json.find("\"ctx.report_counter\": 3"), std::string::npos);
   EXPECT_NE(json.find("ctx boom"), std::string::npos);
@@ -724,19 +750,19 @@ TEST(ProfileTest, FoldedStacksSumSelfTimePerStack) {
 TEST(ProfileTest, JsonValidatesAndRejectsTampering) {
   obs::Profile profile = obs::BuildProfile(ProfileFixtureForest());
   std::string json = obs::ProfileJson(profile);
-  EXPECT_TRUE(obs::ValidateProfileDoc(json).ok())
-      << obs::ValidateProfileDoc(json).ToString();
+  EXPECT_TRUE(obs::LintDocument("profile", json).ok())
+      << obs::LintDocument("profile", json).ToString();
 
   std::string wrong_schema = json;
   wrong_schema.replace(wrong_schema.find("depsurf.profile.v1"), 18, "depsurf.profile.v9");
-  EXPECT_FALSE(obs::ValidateProfileDoc(wrong_schema).ok());
+  EXPECT_FALSE(obs::LintDocument("profile", wrong_schema).ok());
 
   // A row whose self time exceeds its duration is inconsistent.
   std::string inflated = json;
   size_t at = inflated.find("\"self_ns\": 2000");
   ASSERT_NE(at, std::string::npos);
   inflated.replace(at, 15, "\"self_ns\": 99999999");
-  EXPECT_FALSE(obs::ValidateProfileDoc(inflated).ok());
+  EXPECT_FALSE(obs::LintDocument("profile", inflated).ok());
 }
 
 TEST(ProfileTest, RoundTripsThroughRunReportWithExecutorStats) {
@@ -771,7 +797,7 @@ TEST(ProfileTest, RoundTripsThroughRunReportWithExecutorStats) {
     ASSERT_EQ(profile->executor.worker_busy_ms.size(), 2u);
     EXPECT_EQ(profile->executor.worker_busy_ms[0].first, 0);
     EXPECT_EQ(profile->executor.worker_busy_ms[1].second, 112);
-    EXPECT_TRUE(obs::ValidateProfileDoc(obs::ProfileJson(*profile)).ok());
+    EXPECT_TRUE(obs::LintDocument("profile", obs::ProfileJson(*profile)).ok());
   }
 }
 

@@ -16,6 +16,7 @@
 #include "src/faultgen/fault_injector.h"
 #include "src/obs/json_lint.h"
 #include "src/obs/profile.h"
+#include "src/obs/schema.h"
 #include "src/study/study.h"
 
 namespace depsurf {
@@ -122,7 +123,7 @@ TEST(ParallelBuildTest, ProfileFromAggregateIsValidAndMaskStable) {
     EXPECT_GT(profile->span_nodes, 0u);
     EXPECT_FALSE(profile->critical_path.empty());
     std::string json = obs::ProfileJson(*profile);
-    EXPECT_TRUE(obs::ValidateProfileDoc(json).ok()) << json;
+    EXPECT_TRUE(obs::LintDocument("profile", json).ok()) << json;
     auto parsed = obs::ParseJson(json);
     ASSERT_TRUE(parsed.ok());
     masked_profiles.push_back(obs::CanonicalMaskedJson(*parsed));
@@ -186,7 +187,7 @@ TEST(ParallelBuildTest, WideWindowQuarantineStaysIsolated) {
   ASSERT_EQ(files.per_image.size(), corpus.size());
   for (size_t i = 0; i < corpus.size(); ++i) {
     const std::string report = ReadFileOrEmpty(files.per_image[i]);
-    EXPECT_TRUE(obs::ValidateRunReport(report).ok()) << files.per_image[i];
+    EXPECT_TRUE(obs::LintDocument("report", report).ok()) << files.per_image[i];
     const bool has_fatal = report.find("\"severity\": \"fatal\"") != std::string::npos;
     EXPECT_EQ(has_fatal, corpus[i].Label() == victim) << files.per_image[i];
   }

@@ -6,6 +6,7 @@
 
 #include "src/obs/json_lint.h"
 #include "src/obs/perf_gate.h"
+#include "src/obs/schema.h"
 
 namespace depsurf {
 namespace {
@@ -115,7 +116,7 @@ TEST(PerfGateEdgeTest, JsonCarriesFloorAndStillLints) {
       obs::ComparePerf({Stage("s", 1.0)}, {Stage("s", 1.2)}, options);
   std::string json = obs::PerfComparisonJson(cmp, options);
   EXPECT_NE(json.find("\"floor_seconds\": 0.250000"), std::string::npos) << json;
-  EXPECT_TRUE(obs::ValidatePerfCompare(json).ok()) << json;
+  EXPECT_TRUE(obs::LintDocument("perf", json).ok()) << json;
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "src/obs/perf_gate.h"
 #include "src/obs/perf_history.h"
 #include "src/obs/profile.h"
+#include "src/obs/schema.h"
 #include "src/study/study.h"
 
 namespace depsurf {
@@ -186,11 +187,11 @@ TEST(PerfHistoryTest, TrendReportJsonValidatesAndTextSummarizes) {
   obs::TrendReport report = obs::AnalyzeTrend(records, TestHost());
 
   std::string json = obs::TrendReportJson(report);
-  EXPECT_TRUE(obs::ValidateTrendDoc(json).ok()) << json;
+  EXPECT_TRUE(obs::LintDocument("trend", json).ok()) << json;
   // Negative deviations are legal; a wrong schema marker is not.
   std::string tampered = json;
   tampered.replace(tampered.find("perf_trend"), 10, "perf_wrong");
-  EXPECT_FALSE(obs::ValidateTrendDoc(tampered).ok());
+  EXPECT_FALSE(obs::LintDocument("trend", tampered).ok());
 
   std::string text = obs::TrendReportText(report);
   EXPECT_NE(text.find("comparable"), std::string::npos) << text;

@@ -15,6 +15,7 @@
 #include "src/obs/json_lint.h"
 #include "src/obs/profile.h"
 #include "src/obs/profile_diff.h"
+#include "src/obs/schema.h"
 #include "src/study/study.h"
 
 namespace depsurf {
@@ -116,19 +117,19 @@ TEST(ProfileDiffTest, DiffsHandBuiltForests) {
 TEST(ProfileDiffTest, JsonValidatesAndTamperIsRejected) {
   obs::ProfileDiff diff = obs::DiffProfiles(BaseProfile(), HeadProfile());
   std::string json = obs::ProfileDiffJson(diff);
-  EXPECT_TRUE(obs::ValidateProfileDiffDoc(json).ok()) << json;
+  EXPECT_TRUE(obs::LintDocument("profile_diff", json).ok()) << json;
 
   // Wrong schema marker.
   std::string wrong = json;
   wrong.replace(wrong.find("profile_diff.v1"), 15, "profile_nope.v1");
-  EXPECT_FALSE(obs::ValidateProfileDiffDoc(wrong).ok());
+  EXPECT_FALSE(obs::LintDocument("profile_diff", wrong).ok());
   // A base column must not be negative (deltas may be).
   std::string negative = json;
   const std::string needle = "\"base\": {\"count\": 1";
   size_t base_obj = negative.find(needle);
   ASSERT_NE(base_obj, std::string::npos);
   negative.replace(base_obj, needle.size(), "\"base\": {\"count\": -1");
-  EXPECT_FALSE(obs::ValidateProfileDiffDoc(negative).ok());
+  EXPECT_FALSE(obs::LintDocument("profile_diff", negative).ok());
 
   std::string text = obs::ProfileDiffText(diff);
   EXPECT_NE(text.find("critical path"), std::string::npos) << text;
@@ -199,7 +200,7 @@ TEST(ProfileDiffTest, MaskedDiffIsIdenticalAcrossJobs) {
     obs::Profile base = build_profile(jobs);
     obs::Profile head = build_profile(jobs);
     std::string json = obs::ProfileDiffJson(obs::DiffProfiles(base, head));
-    ASSERT_TRUE(obs::ValidateProfileDiffDoc(json).ok());
+    ASSERT_TRUE(obs::LintDocument("profile_diff", json).ok());
     auto parsed = obs::ParseJson(json);
     ASSERT_TRUE(parsed.ok());
     masked.push_back(obs::CanonicalMaskedJson(*parsed));

@@ -16,6 +16,7 @@
 #include "src/bpf/bpf_rewriter.h"
 #include "src/bpfgen/program_corpus.h"
 #include "src/obs/json_lint.h"
+#include "src/obs/schema.h"
 #include "src/util/diagnostic_ledger.h"
 
 namespace depsurf {
@@ -268,18 +269,18 @@ TEST(RemediationJsonTest, LintAcceptsDocAndRejectsTamper) {
   ObjectAnalysis analysis = AnalyzeObject(object);
   RemediationPlan plan = PlanRemediation(object, analysis);
   std::string json = RemediationToJson(analysis, plan, nullptr);
-  EXPECT_TRUE(obs::ValidateRemediationDoc(json).ok())
-      << obs::ValidateRemediationDoc(json).ToString();
+  EXPECT_TRUE(obs::LintDocument("remediation", json).ok())
+      << obs::LintDocument("remediation", json).ToString();
 
   // Summary inconsistent with the array: rejected.
   std::string tampered = json;
   size_t pos = tampered.find("\"fixable\": 1");
   ASSERT_NE(pos, std::string::npos);
   tampered.replace(pos, std::string("\"fixable\": 1").size(), "\"fixable\": 2");
-  EXPECT_FALSE(obs::ValidateRemediationDoc(tampered).ok());
+  EXPECT_FALSE(obs::LintDocument("remediation", tampered).ok());
 
   // An analysis doc is not a remediation doc.
-  EXPECT_FALSE(obs::ValidateRemediationDoc(AnalysisToJson(analysis)).ok());
+  EXPECT_FALSE(obs::LintDocument("remediation", AnalysisToJson(analysis)).ok());
 }
 
 }  // namespace

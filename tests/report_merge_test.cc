@@ -9,6 +9,7 @@
 #include "src/obs/perf_gate.h"
 #include "src/obs/report_merge.h"
 #include "src/obs/run_report.h"
+#include "src/obs/schema.h"
 #include "src/obs/span.h"
 
 namespace depsurf {
@@ -78,8 +79,8 @@ TEST(ReportMergeTest, GoldenAggSchema) {
             "\"buckets\": [[2, 1], [4, 1]]}},\n"
             "\"diagnostics\": []\n"
             "}\n");
-  EXPECT_TRUE(obs::ValidateAggReport(*merged).ok());
-  EXPECT_FALSE(obs::ValidateAggReport(MakeReport("x", 1, 1)).ok());  // wrong schema
+  EXPECT_TRUE(obs::LintDocument("agg", *merged).ok());
+  EXPECT_FALSE(obs::LintDocument("agg", MakeReport("x", 1, 1)).ok());  // wrong schema
 }
 
 TEST(ReportMergeTest, CommutativeAfterMasking) {
@@ -177,8 +178,8 @@ TEST(PerfGateTest, JsonRoundTripsThroughLint) {
   obs::PerfGateOptions options;
   obs::PerfComparison cmp = obs::ComparePerf(base, head, options);
   std::string json = obs::PerfComparisonJson(cmp, options);
-  EXPECT_TRUE(obs::ValidatePerfCompare(json).ok()) << json;
-  EXPECT_FALSE(obs::ValidatePerfCompare("{\"schema\": \"nope\"}").ok());
+  EXPECT_TRUE(obs::LintDocument("perf", json).ok()) << json;
+  EXPECT_FALSE(obs::LintDocument("perf", "{\"schema\": \"nope\"}").ok());
 
   auto parsed = obs::ParseJson(json);
   ASSERT_TRUE(parsed.ok());

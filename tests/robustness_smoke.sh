@@ -6,7 +6,8 @@
 # (deterministic across reruns, lintable fuzz_campaign.v1 document), then
 # walks the quarantine path of `study build` end to end: the default policy
 # (no --strict) must finish with the poisoned image quarantined and listed in
-# the aggregate report; --strict must fail. Last, bad argv: every malformed
+# the aggregate report; --strict must fail. JSON nested 300k deep must be a
+# typed error for `metrics lint` and for one serve request. Last, bad argv: every malformed
 # invocation the command table's parser rejects must exit 1 naming its cause,
 # and a failed write must never report success.
 set -eu
@@ -92,6 +93,31 @@ grep -q '"severity": "fatal"' reps/report_agg.json \
   || fail "aggregate is missing the quarantined image's fatal diagnostic"
 grep -q '"label": "v5.8-x86-generic-gcc10"' reps/report_agg.json \
   || fail "aggregate diagnostic is not attributed to the poisoned image"
+
+# ---- JSON nested far beyond any real document: `metrics lint` and a serve
+# batch answer with a typed error, never a stack overflow, and the valid
+# requests around the deep line still answer.
+python3 -c "print('[' * 300000 + ']' * 300000)" > deep.json
+set +e
+"$DEPSURF" metrics lint deep.json --kind=analysis 2> deep.err
+code=$?
+set -e
+[ "$code" -eq 1 ] || fail "metrics lint of a 300k-deep document exited $code, want 1"
+grep -q "nested deeper than" deep.err || fail "deep document error does not name the depth"
+{
+  echo '{"id": 1, "funcs": ["vfs_read"]}'
+  cat deep.json
+  echo '{"id": 2, "funcs": ["vfs_write"]}'
+} > deep_batch.ndjson
+"$DEPSURF" serve --against=ds --oneshot < deep_batch.ndjson > deep_answers.ndjson 2> /dev/null \
+  || fail "serve over a deep request line exited $?"
+[ "$(wc -l < deep_answers.ndjson)" -eq 3 ] || fail "serve lost answers around a deep line"
+sed -n 1p deep_answers.ndjson | grep -q '^{"id": 1, .*"ok": true' \
+  || fail "request before the deep line did not answer"
+sed -n 2p deep_answers.ndjson | grep -q '"ok": false, "error": "bad request JSON: .*nested deeper' \
+  || fail "deep line did not answer a typed error"
+sed -n 3p deep_answers.ndjson | grep -q '^{"id": 2, .*"ok": true' \
+  || fail "request after the deep line did not answer"
 
 # ---- the same corpus under --strict must fail.
 set +e

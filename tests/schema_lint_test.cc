@@ -18,6 +18,7 @@
 #include "src/obs/profile_diff.h"
 #include "src/obs/report_merge.h"
 #include "src/obs/run_report.h"
+#include "src/obs/schema.h"
 #include "src/obs/span.h"
 #include "src/obs/trace_export.h"
 #include "src/util/str_util.h"
@@ -26,55 +27,6 @@ namespace depsurf {
 namespace {
 
 using obs::JsonValue;
-
-// Lints `text` as `depsurf metrics lint --kind=KIND` does (no extra
-// arguments).
-Status Lint(const std::string& kind, const std::string& text) {
-  if (kind == "report") {
-    return obs::ValidateRunReport(text);
-  }
-  if (kind == "agg") {
-    return obs::ValidateAggReport(text);
-  }
-  if (kind == "history") {
-    return obs::ValidateHistoryNdjson(text);
-  }
-  if (kind == "trace") {
-    auto parsed = obs::ParseJson(text);
-    return parsed.ok() ? obs::ValidateTrace(*parsed) : Status(parsed.TakeError());
-  }
-  if (kind == "bench") {
-    return obs::ValidateBenchReport(text);
-  }
-  if (kind == "perf") {
-    return obs::ValidatePerfCompare(text);
-  }
-  if (kind == "diag") {
-    return obs::ValidateDiagnosticsDoc(text);
-  }
-  if (kind == "analysis") {
-    return obs::ValidateAnalysisDoc(text);
-  }
-  if (kind == "remediation") {
-    return obs::ValidateRemediationDoc(text);
-  }
-  if (kind == "profile") {
-    return obs::ValidateProfileDoc(text);
-  }
-  if (kind == "trend") {
-    return obs::ValidateTrendDoc(text);
-  }
-  if (kind == "profile_diff") {
-    return obs::ValidateProfileDiffDoc(text);
-  }
-  if (kind == "fuzz") {
-    return obs::ValidateFuzzCampaignDoc(text);
-  }
-  if (kind == "serve") {
-    return obs::ValidateServeReportDoc(text);
-  }
-  return Status(ErrorCode::kInvalidArgument, "unknown kind " + kind);
-}
 
 // ---------------------------------------------------------------------------
 // Valid documents, one per kind.
@@ -796,26 +748,26 @@ const Tamper kStillValid[] = {
 
 TEST(SchemaLintTest, EveryKindAcceptsItsDocument) {
   for (const char* kind : kKinds) {
-    Status valid = Lint(kind, Document(kind));
+    Status valid = obs::LintDocument(kind, Document(kind));
     EXPECT_TRUE(valid.ok()) << kind << ": " << valid.ToString() << "\n" << Document(kind);
   }
 }
 
 TEST(SchemaLintTest, EveryExistingInvariantStillRejects) {
   for (const Tamper& t : kExistingInvariants) {
-    EXPECT_FALSE(Lint(t.kind, Apply(t)).ok()) << "accepted " << Describe(t);
+    EXPECT_FALSE(obs::LintDocument(t.kind, Apply(t)).ok()) << "accepted " << Describe(t);
   }
 }
 
 TEST(SchemaLintTest, ReportSectionsAreTyped) {
   for (const Tamper& t : kNewStrictness) {
-    EXPECT_FALSE(Lint(t.kind, Apply(t)).ok()) << "accepted " << Describe(t);
+    EXPECT_FALSE(obs::LintDocument(t.kind, Apply(t)).ok()) << "accepted " << Describe(t);
   }
 }
 
 TEST(SchemaLintTest, LegalVariantsStillLint) {
   for (const Tamper& t : kStillValid) {
-    Status valid = Lint(t.kind, Apply(t));
+    Status valid = obs::LintDocument(t.kind, Apply(t));
     EXPECT_TRUE(valid.ok()) << "rejected " << Describe(t) << ": " << valid.ToString();
   }
 }

@@ -20,6 +20,7 @@
 #include "src/kernelgen/corpus.h"
 #include "src/kernelgen/image_builder.h"
 #include "src/obs/json_lint.h"
+#include "src/obs/schema.h"
 
 namespace depsurf {
 namespace {
@@ -138,6 +139,27 @@ TEST(ServeTest, AnswersBatchAgainstV2Dataset) {
   EXPECT_EQ(engine->cache_entries(), 4u);
 }
 
+// A request line nested far deeper than any real query is a typed error for
+// that line alone; the valid requests around it answer as before.
+TEST(ServeTest, DeeplyNestedRequestIsABadRequestNotACrash) {
+  auto engine = ServeEngine::Open({Fixture().v2_path}, ServeOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.error().ToString();
+  const std::vector<std::string> batch = RequestBatch();
+  std::vector<std::string> alone = engine->HandleBatch({batch[0], batch[2]});
+  std::string deep = std::string(300000, '[') + std::string(300000, ']');
+  std::vector<std::string> responses = engine->HandleBatch({batch[0], deep, batch[2]});
+  ASSERT_EQ(responses.size(), 3u);
+  const std::string want_prefix = "{\"id\": null, \"ok\": false, \"error\": \"bad request JSON: ";
+  EXPECT_EQ(responses[1].rfind(want_prefix, 0), 0u) << responses[1];
+  EXPECT_NE(responses[1].find("nested deeper than"), std::string::npos) << responses[1];
+  // Same answers as without the deep line (both now served from the cache).
+  for (size_t i : {0u, 2u}) {
+    const std::string& want = alone[i == 0 ? 0 : 1];
+    EXPECT_EQ(responses[i].substr(responses[i].find("\"ok\"")),
+              want.substr(want.find("\"ok\"")));
+  }
+}
+
 TEST(ServeTest, ResponsesAreByteIdenticalAcrossJobs) {
   std::vector<std::vector<std::string>> all_responses;
   std::vector<std::string> all_reports;
@@ -185,7 +207,7 @@ TEST(ServeTest, ReportJsonIsValidAndAccountsForEverything) {
   ASSERT_TRUE(engine.ok());
   engine->HandleBatch(RequestBatch());
   std::string report = engine->ReportJson();
-  Status valid = obs::ValidateServeReportDoc(report);
+  Status valid = obs::LintDocument("serve", report);
   EXPECT_TRUE(valid.ok()) << valid.ToString() << "\n" << report;
   // 4 distinct computed results, capacity 2: admission stops at the cap.
   EXPECT_EQ(engine->cache_entries(), 2u);
@@ -196,9 +218,9 @@ TEST(ServeTest, ReportJsonIsValidAndAccountsForEverything) {
   size_t pos = broken.find("\"requests\": 8");
   ASSERT_NE(pos, std::string::npos);
   broken.replace(pos, 13, "\"requests\": 9");
-  EXPECT_FALSE(obs::ValidateServeReportDoc(broken).ok());
-  EXPECT_FALSE(obs::ValidateServeReportDoc("{}").ok());
-  EXPECT_FALSE(obs::ValidateServeReportDoc("not json").ok());
+  EXPECT_FALSE(obs::LintDocument("serve", broken).ok());
+  EXPECT_FALSE(obs::LintDocument("serve", "{}").ok());
+  EXPECT_FALSE(obs::LintDocument("serve", "not json").ok());
 }
 
 TEST(ServeTest, OpenFailsLoudly) {
