@@ -733,13 +733,13 @@ const std::vector<LintKind>& Table() {
   return table;
 }
 
-const LintKind* FindKind(std::string_view kind) {
+Result<const LintKind*> FindKind(std::string_view kind) {
   for (const LintKind& row : Table()) {
     if (kind == row.kind) {
       return &row;
     }
   }
-  return nullptr;
+  return Error(ErrorCode::kInvalidArgument, "unknown lint kind " + std::string(kind));
 }
 
 Status CheckRow(const LintKind& row, const JsonValue& doc, const LintOptions& options) {
@@ -759,19 +759,17 @@ Status CheckRow(const LintKind& row, const JsonValue& doc, const LintOptions& op
 }  // namespace
 
 Status CheckDocument(std::string_view kind, const JsonValue& doc, const LintOptions& options) {
-  const LintKind* row = FindKind(kind);
-  if (row == nullptr) {
-    return Status(ErrorCode::kInvalidArgument, "unknown lint kind " + std::string(kind));
-  }
-  return CheckRow(*row, doc, options);
+  auto row = FindKind(kind);
+  return row.ok() ? CheckRow(**row, doc, options) : Status(row.TakeError());
 }
 
 Status LintDocument(std::string_view kind, std::string_view text, const LintOptions& options,
                     LintOutcome* outcome) {
-  const LintKind* row = FindKind(kind);
-  if (row == nullptr) {
-    return Status(ErrorCode::kInvalidArgument, "unknown lint kind " + std::string(kind));
+  auto found = FindKind(kind);
+  if (!found.ok()) {
+    return found.TakeError();
   }
+  const LintKind* row = *found;
   size_t count = 0;
   std::vector<std::string> notes;
   if (row->ndjson) {
@@ -803,7 +801,7 @@ Status LintDocument(std::string_view kind, std::string_view text, const LintOpti
   return Status::Ok();
 }
 
-bool IsLintKind(std::string_view kind) { return FindKind(kind) != nullptr; }
+bool IsLintKind(std::string_view kind) { return FindKind(kind).ok(); }
 
 std::string LintKindNames() {
   std::vector<std::string> names;

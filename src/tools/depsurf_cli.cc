@@ -591,8 +591,9 @@ int CmdMetricsLint(const Args& args) {
   obs::LintOptions options;
   options.min_distinct_spans = static_cast<size_t>(args.U64("min-spans", 0));
   options.required_counters = SplitList(args.Text("require"));
+  // --report counts the trace's span nodes; other kinds ignore it.
   std::string report_path = args.Text("report");
-  if (!report_path.empty()) {
+  if (kind == "trace" && !report_path.empty()) {
     auto report_text = ReadTextFile(report_path);
     if (!report_text.ok()) {
       return DiagError(report_text.error());
