@@ -187,20 +187,6 @@ Result<std::vector<HistoryRecord>> ParseHistoryNdjson(std::string_view text) {
   return records;
 }
 
-Status ValidateHistoryNdjson(std::string_view text, size_t* records_out) {
-  auto records = ParseHistoryNdjson(text);
-  if (!records.ok()) {
-    return records.TakeError();
-  }
-  if (records->empty()) {
-    return Status(ErrorCode::kMalformedData, "history store holds no records");
-  }
-  if (records_out != nullptr) {
-    *records_out = records->size();
-  }
-  return Status::Ok();
-}
-
 Status AppendHistoryRecord(const std::string& path, const HistoryRecord& record) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
   if (!out) {

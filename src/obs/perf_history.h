@@ -111,10 +111,6 @@ Result<HistoryRecord> ParseHistoryRecord(const JsonValue& doc);
 // are prefixed with the 1-based line number.
 Result<std::vector<HistoryRecord>> ParseHistoryNdjson(std::string_view text);
 
-// Validates an NDJSON store (`metrics lint --kind=history`). On success
-// *records_out (when non-null) receives the record count.
-Status ValidateHistoryNdjson(std::string_view text, size_t* records_out = nullptr);
-
 // Appends one record line to `path`, creating the file when absent.
 Status AppendHistoryRecord(const std::string& path, const HistoryRecord& record);
 

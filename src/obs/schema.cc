@@ -739,7 +739,12 @@ Result<const LintKind*> FindKind(std::string_view kind) {
       return &row;
     }
   }
-  return Error(ErrorCode::kInvalidArgument, "unknown lint kind " + std::string(kind));
+  std::vector<std::string> names;
+  for (const LintKind& row : Table()) {
+    names.push_back(row.kind);
+  }
+  return Error(ErrorCode::kInvalidArgument, "unknown lint kind " + std::string(kind) +
+                                                " (valid kinds: " + JoinStrings(names, "|") + ")");
 }
 
 Status CheckRow(const LintKind& row, const JsonValue& doc, const LintOptions& options) {
@@ -778,7 +783,7 @@ Status LintDocument(std::string_view kind, std::string_view text, const LintOpti
       return CheckRow(*row, doc, options);
     }));
     if (count == 0) {
-      return Fail("document holds no records");
+      return Fail(StrFormat("%s store holds no records", row->kind));
     }
   } else {
     auto doc = ParseJson(text);
@@ -799,16 +804,6 @@ Status LintDocument(std::string_view kind, std::string_view text, const LintOpti
     outcome->notes = std::move(notes);
   }
   return Status::Ok();
-}
-
-bool IsLintKind(std::string_view kind) { return FindKind(kind).ok(); }
-
-std::string LintKindNames() {
-  std::vector<std::string> names;
-  for (const LintKind& row : Table()) {
-    names.push_back(row.kind);
-  }
-  return JoinStrings(names, "|");
 }
 
 }  // namespace obs

@@ -47,17 +47,13 @@ struct LintOutcome {
 
 // Parses `text` and checks it against the row of `kind` ("report",
 // "analysis", ...). The history kind is NDJSON: every line is one record.
+// An unknown kind fails with the list of valid kinds.
 Status LintDocument(std::string_view kind, std::string_view text,
                     const LintOptions& options = {}, LintOutcome* outcome = nullptr);
 
 // Checks an already parsed document against the row of `kind`.
 Status CheckDocument(std::string_view kind, const JsonValue& doc,
                      const LintOptions& options = {});
-
-bool IsLintKind(std::string_view kind);
-
-// Every kind, "|"-separated, in table order.
-std::string LintKindNames();
 
 }  // namespace obs
 }  // namespace depsurf

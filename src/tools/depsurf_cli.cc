@@ -585,9 +585,6 @@ int CmdMetricsLint(const Args& args) {
     return DiagError(text.error());
   }
   std::string kind = args.Text("kind", "report");
-  if (!obs::IsLintKind(kind)) {
-    return DiagError("unknown --kind=" + kind + " (valid kinds: " + obs::LintKindNames() + ")");
-  }
   obs::LintOptions options;
   options.min_distinct_spans = static_cast<size_t>(args.U64("min-spans", 0));
   options.required_counters = SplitList(args.Text("require"));

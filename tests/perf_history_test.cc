@@ -111,9 +111,9 @@ TEST(PerfHistoryTest, AppendAndValidateNdjsonStore) {
   ASSERT_TRUE(obs::AppendHistoryRecord(path, MakeRecord("head", 1.1)).ok());
   const std::string text = ReadFileOrEmpty(path);
 
-  size_t count = 0;
-  ASSERT_TRUE(obs::ValidateHistoryNdjson(text, &count).ok());
-  EXPECT_EQ(count, 2u);
+  obs::LintOutcome outcome;
+  ASSERT_TRUE(obs::LintDocument("history", text, {}, &outcome).ok());
+  EXPECT_EQ(outcome.summary, std::string(obs::kPerfHistorySchema) + " (2 records)");
   auto records = obs::ParseHistoryNdjson(text);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), 2u);
@@ -121,8 +121,8 @@ TEST(PerfHistoryTest, AppendAndValidateNdjsonStore) {
   EXPECT_EQ((*records)[1].label, "head");
 
   // An empty store is invalid, and a malformed line is named by number.
-  EXPECT_FALSE(obs::ValidateHistoryNdjson("").ok());
-  Status bad = obs::ValidateHistoryNdjson(text + "{\"schema\":\"nope\"}\n");
+  EXPECT_FALSE(obs::LintDocument("history", "").ok());
+  Status bad = obs::LintDocument("history", text + "{\"schema\":\"nope\"}\n");
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.error().message().find("line 3"), std::string::npos)
       << bad.error().message();
