@@ -67,80 +67,6 @@ std::string TypeStringDepth(const TypeGraph& graph, BtfTypeId id, int depth) {
   return "?";
 }
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-  return out;
-}
-
-std::string TypeJsonDepth(const TypeGraph& graph, BtfTypeId id, int depth) {
-  const BtfType* t = graph.Get(id);
-  if (t == nullptr) {
-    return "{\"name\": \"void\", \"kind\": \"VOID\"}";
-  }
-  std::string out = "{\"kind\": \"" + std::string(BtfKindName(t->kind)) + "\"";
-  if (!t->name.empty()) {
-    out += ", \"name\": \"" + JsonEscape(t->name) + "\"";
-  }
-  if (depth <= 0) {
-    return out + "}";
-  }
-  switch (t->kind) {
-    case BtfKind::kPtr:
-    case BtfKind::kConst:
-    case BtfKind::kVolatile:
-    case BtfKind::kRestrict:
-    case BtfKind::kTypedef:
-      out += ", \"type\": " + TypeJsonDepth(graph, t->ref_type_id, depth - 1);
-      break;
-    case BtfKind::kArray:
-      out += StrFormat(", \"nelems\": %u, \"type\": ", t->nelems) +
-             TypeJsonDepth(graph, t->ref_type_id, depth - 1);
-      break;
-    case BtfKind::kStruct:
-    case BtfKind::kUnion: {
-      out += StrFormat(", \"size\": %u, \"members\": [", t->size);
-      for (size_t i = 0; i < t->members.size(); ++i) {
-        if (i != 0) {
-          out += ", ";
-        }
-        const BtfMember& m = t->members[i];
-        out += "{\"name\": \"" + JsonEscape(m.name) + "\"";
-        out += StrFormat(", \"bits_offset\": %u, \"type\": ", m.bits_offset);
-        // Members render shallow struct references, as in the dataset.
-        out += TypeJsonDepth(graph, m.type_id, 1);
-        out += "}";
-      }
-      out += "]";
-      break;
-    }
-    case BtfKind::kFunc:
-      out += ", \"type\": " + TypeJsonDepth(graph, t->ref_type_id, depth - 1);
-      break;
-    case BtfKind::kFuncProto: {
-      out += ", \"params\": [";
-      for (size_t i = 0; i < t->params.size(); ++i) {
-        if (i != 0) {
-          out += ", ";
-        }
-        const BtfParam& p = t->params[i];
-        out += "{\"name\": \"" + JsonEscape(p.name) +
-               "\", \"type\": " + TypeJsonDepth(graph, p.type_id, depth - 1) + "}";
-      }
-      out += "], \"ret_type\": " + TypeJsonDepth(graph, t->ref_type_id, depth - 1);
-      break;
-    }
-    default:
-      break;
-  }
-  return out + "}";
-}
-
 }  // namespace
 
 std::string TypeString(const TypeGraph& graph, BtfTypeId id) {
@@ -184,10 +110,6 @@ std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id,
   }
   out += ")";
   return out;
-}
-
-std::string TypeJson(const TypeGraph& graph, BtfTypeId id, int max_depth) {
-  return TypeJsonDepth(graph, id, max_depth);
 }
 
 }  // namespace depsurf

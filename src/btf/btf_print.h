@@ -1,5 +1,5 @@
-// Rendering of BTF types as C-like declarations and as JSON matching the
-// DepSurf dataset format (paper artifact, Appendix A.2.4).
+// Rendering of BTF types as C-like declarations: the type strings and
+// function declarations the dataset stores and the CLI prints.
 #ifndef DEPSURF_SRC_BTF_BTF_PRINT_H_
 #define DEPSURF_SRC_BTF_BTF_PRINT_H_
 
@@ -21,10 +21,6 @@ std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id);
 // The returned reference need only live until the next call.
 std::string FuncDeclString(const TypeGraph& graph, BtfTypeId func_id,
                            const std::function<const std::string&(BtfTypeId)>& type_string);
-
-// JSON rendering of a type tree (depth-limited; struct references render as
-// {"kind": "STRUCT", "name": ...} without members, as in the paper dataset).
-std::string TypeJson(const TypeGraph& graph, BtfTypeId id, int max_depth = 6);
 
 }  // namespace depsurf
 

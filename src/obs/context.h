@@ -8,10 +8,9 @@
 // when the stack is empty it falls back to Context::Root(), which wraps the
 // Global() singletons. Code that never pushes a context therefore behaves
 // exactly as before — the globals remain the default root context — while
-// Study::BuildDatasetWithReports gives each in-flight image its own Context
-// and serializes that image's run report from it, which is what lets
-// report-mode corpus builds run in the same bounded concurrent window as
-// plain builds.
+// Study::BuildDatasetWithReports gives each image its own Context and
+// serializes that image's run report from it, which is what lets report-mode
+// corpus builds run on the same executor lanes as plain builds.
 //
 // Thread-locality rules (see docs/OBSERVABILITY.md):
 //   - The stack is per thread. Pushing a context on one thread does not
@@ -21,8 +20,9 @@
 //   - A ScopedSpan resolves its collector when it *finishes*, so a span
 //     must close under the same context it opened under (RAII scopes
 //     nested inside a ScopedContext guarantee this).
-//   - A Context outlives every thread collecting into it: join or .get()
-//     the workers before serializing the context.
+//   - A Context outlives every thread collecting into it: the task
+//     collecting into it must have finished before the context is
+//     serialized (an ordered executor's consume step guarantees this).
 #ifndef DEPSURF_SRC_OBS_CONTEXT_H_
 #define DEPSURF_SRC_OBS_CONTEXT_H_
 

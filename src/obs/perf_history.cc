@@ -8,6 +8,7 @@
 
 #include "src/obs/run_report.h"
 #include "src/obs/schema.h"
+#include "src/util/file_util.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -188,16 +189,7 @@ Result<std::vector<HistoryRecord>> ParseHistoryNdjson(std::string_view text) {
 }
 
 Status AppendHistoryRecord(const std::string& path, const HistoryRecord& record) {
-  std::ofstream out(path, std::ios::binary | std::ios::app);
-  if (!out) {
-    return Status(ErrorCode::kIoError, "cannot open " + path + " for append");
-  }
-  std::string line = HistoryRecordJson(record);
-  out.write(line.data(), static_cast<std::streamsize>(line.size()));
-  if (!out) {
-    return Status(ErrorCode::kIoError, "short write to " + path);
-  }
-  return Status::Ok();
+  return AppendFile(path, HistoryRecordJson(record));
 }
 
 TrendReport AnalyzeTrend(const std::vector<HistoryRecord>& records,

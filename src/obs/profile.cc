@@ -142,39 +142,28 @@ int64_t WorkerLane(const std::string& name) {
   return lane;
 }
 
-void FillExecutorFromDoc(Profile& profile, const JsonValue& doc) {
-  ExecutorStats& executor = profile.executor;
-  const JsonValue* gauges = doc.Find("gauges");
-  if (gauges != nullptr && gauges->kind == JsonValue::Kind::kObject) {
-    for (const auto& [name, value] : gauges->object) {
-      if (name == "study.build_dataset.window") {
-        executor.window = static_cast<int64_t>(value.number);
-        executor.present = true;
-      } else if (name == "study.build_dataset.wall_ms") {
-        executor.wall_ms = static_cast<int64_t>(value.number);
-      } else if (int64_t lane = WorkerLane(name); lane >= 0) {
-        executor.worker_busy_ms.emplace_back(lane, static_cast<int64_t>(value.number));
-        executor.present = true;
-      }
-    }
-  }
-  const JsonValue* counters = doc.Find("counters");
-  if (counters != nullptr) {
-    const JsonValue* stall = counters->Find("study.executor.serialize_stall_us");
-    if (stall != nullptr) {
-      executor.serialize_stall_us = static_cast<uint64_t>(stall->number);
+// The one reader of the executor block. `for_each_metric(add)` calls
+// add(name, value) for every gauge, counter and histogram (by its count) of
+// one source: a report's JSON or a live registry.
+template <typename ForEachMetric>
+void FillExecutor(ExecutorStats& executor, ForEachMetric for_each_metric) {
+  for_each_metric([&executor](const std::string& name, int64_t value) {
+    if (name == "study.build_dataset.window") {
+      executor.window = value;
+      executor.present = true;
+    } else if (name == "study.build_dataset.wall_ms") {
+      executor.wall_ms = value;
+    } else if (name == "study.executor.serialize_stall_us") {
+      executor.serialize_stall_us = static_cast<uint64_t>(value);
+      executor.present = true;
+    } else if (name == "study.executor.queue_wait_us") {
+      executor.queue_waits = static_cast<uint64_t>(value);
+      executor.present = true;
+    } else if (int64_t lane = WorkerLane(name); lane >= 0) {
+      executor.worker_busy_ms.emplace_back(lane, value);
       executor.present = true;
     }
-  }
-  const JsonValue* histograms = doc.Find("histograms");
-  if (histograms != nullptr) {
-    const JsonValue* queue_wait = histograms->Find("study.executor.queue_wait_us");
-    if (queue_wait != nullptr) {
-      const JsonValue* count = queue_wait->Find("count");
-      executor.queue_waits = count != nullptr ? static_cast<uint64_t>(count->number) : 0;
-      executor.present = true;
-    }
-  }
+  });
   std::sort(executor.worker_busy_ms.begin(), executor.worker_busy_ms.end());
 }
 
@@ -214,31 +203,17 @@ Profile BuildProfile(const std::vector<SpanNode>& roots) {
 }
 
 void FillExecutorStats(Profile& profile, const MetricsRegistry& metrics) {
-  ExecutorStats& executor = profile.executor;
-  for (const auto& [name, value] : metrics.GaugeSnapshot()) {
-    if (name == "study.build_dataset.window") {
-      executor.window = value;
-      executor.present = true;
-    } else if (name == "study.build_dataset.wall_ms") {
-      executor.wall_ms = value;
-    } else if (int64_t lane = WorkerLane(name); lane >= 0) {
-      executor.worker_busy_ms.emplace_back(lane, value);
-      executor.present = true;
+  FillExecutor(profile.executor, [&metrics](auto add) {
+    for (const auto& [name, value] : metrics.GaugeSnapshot()) {
+      add(name, value);
     }
-  }
-  for (const auto& [name, value] : metrics.CounterSnapshot()) {
-    if (name == "study.executor.serialize_stall_us") {
-      executor.serialize_stall_us = value;
-      executor.present = true;
+    for (const auto& [name, value] : metrics.CounterSnapshot()) {
+      add(name, static_cast<int64_t>(value));
     }
-  }
-  for (const auto& [name, histogram] : metrics.HistogramSnapshot()) {
-    if (name == "study.executor.queue_wait_us") {
-      executor.queue_waits = histogram->count();
-      executor.present = true;
+    for (const auto& [name, histogram] : metrics.HistogramSnapshot()) {
+      add(name, static_cast<int64_t>(histogram->count()));
     }
-  }
-  std::sort(executor.worker_busy_ms.begin(), executor.worker_busy_ms.end());
+  });
 }
 
 Result<Profile> ProfileFromReportJson(std::string_view json) {
@@ -249,7 +224,20 @@ Result<Profile> ProfileFromReportJson(std::string_view json) {
     return roots.TakeError();
   }
   Profile profile = BuildProfile(*roots);
-  FillExecutorFromDoc(profile, *doc);
+  FillExecutor(profile.executor, [doc](auto add) {
+    for (const char* section : {"gauges", "counters", "histograms"}) {
+      const JsonValue* metrics = doc->Find(section);
+      if (metrics == nullptr || metrics->kind != JsonValue::Kind::kObject) {
+        continue;
+      }
+      for (const auto& [name, value] : metrics->object) {
+        // A histogram is an object; it counts as its number of samples.
+        const JsonValue* number =
+            value.kind == JsonValue::Kind::kObject ? value.Find("count") : &value;
+        add(name, number != nullptr ? static_cast<int64_t>(number->number) : 0);
+      }
+    }
+  });
   return profile;
 }
 

@@ -61,13 +61,13 @@ struct CriticalPathStep {
   uint64_t self_ns = 0;
 };
 
-// Executor telemetry lifted from the study.executor.* metrics a bounded-
-// window corpus build publishes (see src/study/study.cc).
+// Executor telemetry lifted from the study.executor.* metrics a corpus build
+// publishes (see src/study/study.cc and src/util/ordered_executor.h).
 struct ExecutorStats {
   bool present = false;  // any study.executor.* metric was found
-  int64_t window = 0;
+  int64_t window = 0;                // lanes
   int64_t wall_ms = 0;               // study.build_dataset.wall_ms
-  uint64_t serialize_stall_us = 0;   // in-order stage blocked on the window
+  uint64_t serialize_stall_us = 0;   // in-order stage waiting on the lanes
   uint64_t queue_waits = 0;          // tasks measured by queue_wait_us
   std::vector<std::pair<int64_t, int64_t>> worker_busy_ms;  // (lane, busy ms)
 };

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <set>
 
 #include "src/obs/run_report.h"
+#include "src/util/file_util.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -75,8 +75,8 @@ std::string TraceEventJson(const std::vector<SpanNode>& roots) {
   });
 
   // Thread-name metadata first: Perfetto/chrome://tracing group events
-  // into named lanes, so the bounded-window workers of a parallel corpus
-  // build read as "worker-2", "worker-3", ... instead of bare tids.
+  // into named lanes, so the executor lanes of a parallel corpus build
+  // read as "worker-2", "worker-3", ... instead of bare tids.
   std::set<uint32_t> tids;
   for (const SpanNode& root : roots) {
     CollectTids(root, tids);
@@ -118,16 +118,7 @@ std::string TraceEventJson(const std::vector<SpanNode>& roots) {
 }
 
 Status WriteGlobalTrace(const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status(ErrorCode::kIoError, "cannot write " + path);
-  }
-  std::string json = TraceEventJson(SpanCollector::Global().Snapshot());
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  if (!out) {
-    return Status(ErrorCode::kIoError, "short write to " + path);
-  }
-  return Status::Ok();
+  return WriteFile(path, TraceEventJson(SpanCollector::Global().Snapshot()));
 }
 
 }  // namespace obs

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <fstream>
-#include <future>
-#include <thread>
 #include <utility>
 
 #include "src/bpf/bpf_object.h"
@@ -16,22 +12,13 @@
 #include "src/obs/run_report.h"
 #include "src/obs/span.h"
 #include "src/util/file_util.h"
+#include "src/util/ordered_executor.h"
 #include "src/util/prng.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
 
 namespace {
-
-// Same auto-sizing rule as the study build executor: surfaces/queries are
-// memory-heavy, so the default window is bounded even on wide machines.
-size_t EffectiveWindow(int jobs) {
-  if (jobs > 0) {
-    return static_cast<size_t>(jobs);
-  }
-  size_t window = std::max<unsigned>(1, std::thread::hardware_concurrency());
-  return std::min(window, size_t{8});
-}
 
 // Renders a request's "id" member back to JSON. Ids are echoed, not
 // interpreted; anything but a string/number/bool round-trips as null.
@@ -299,105 +286,89 @@ ServeEngine::RequestOutcome ServeEngine::Answer(const DependencySet& deps) const
 std::vector<std::string> ServeEngine::HandleBatch(const std::vector<std::string>& lines) {
   obs::ScopedSpan batch_span("serve.batch");
   batch_span.AddAttr("requests", static_cast<uint64_t>(lines.size()));
-  const size_t window = EffectiveWindow(options_.jobs);
-  std::vector<std::string> responses(lines.size());
 
-  using OutcomeFuture = std::shared_future<std::shared_ptr<RequestOutcome>>;
-  struct Pending {
-    size_t index = 0;
-    bool error = false;
-    bool hit = false;
-    bool owner = false;  // first dispatch of this key: admits into the cache
+  // Every line is parsed and classified here, in request order: a malformed
+  // request, a hit in the cache as it stood before the batch, a duplicate
+  // of an earlier line of this batch, or the owner of a new key. Only owners
+  // are answered, on the executor's lanes; a duplicate shares its owner's
+  // outcome. Classification never depends on completion order, so markers
+  // and counters are identical for any --jobs.
+  struct Line {
     std::string id_json;
-    std::string error_text;
-    std::string cached_body;  // set when served from the persistent cache
+    std::string error;                    // malformed request
+    const std::string* cached = nullptr;  // body from the pre-batch cache
     uint64_t key = 0;
-    OutcomeFuture future;
+    size_t owner = 0;  // index of the owner whose outcome this line reports
+    bool is_owner = false;
   };
-  std::deque<Pending> in_flight;
-  // Dedup is decided at *dispatch* time (in request order), never at
-  // completion time, so hit/miss markers and counters are identical no
-  // matter how the window schedules the workers.
-  std::unordered_map<uint64_t, OutcomeFuture> batch_futures;
+  std::vector<Line> classified(lines.size());
+  std::vector<DependencySet> owner_deps;
+  std::unordered_map<uint64_t, size_t> owner_of_key;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    ParsedRequest parsed = ParseRequest(lines[i]);
+    Line& line = classified[i];
+    line.id_json = std::move(parsed.id_json);
+    line.key = parsed.key;
+    if (!parsed.error.empty()) {
+      line.error = std::move(parsed.error);
+    } else if (auto cached = cache_.find(parsed.key); cached != cache_.end()) {
+      line.cached = &cached->second;
+    } else {
+      auto [owner, inserted] = owner_of_key.emplace(parsed.key, owner_deps.size());
+      line.owner = owner->second;
+      line.is_owner = inserted;
+      if (inserted) {
+        owner_deps.push_back(std::move(parsed.deps));
+      }
+    }
+  }
+  std::vector<RequestOutcome> outcomes(owner_deps.size());
+  RunOrdered(
+      owner_deps.size(), LaneCount(options_.jobs),
+      [&](size_t k) { return Answer(owner_deps[k]); },
+      [&](size_t k, RequestOutcome& outcome) {
+        outcomes[k] = std::move(outcome);
+        return true;
+      });
+
+  // Respond, count and admit owners to the cache in request order.
+  std::vector<std::string> responses(lines.size());
   uint64_t batch_hits = 0;
   uint64_t batch_misses = 0;
   uint64_t batch_errors = 0;
   uint64_t batch_rows = 0;
-
-  obs::MetricsRegistry& metrics = obs::Context::Current().metrics();
-  auto consume = [&]() {
-    Pending pending = std::move(in_flight.front());
-    in_flight.pop_front();
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const Line& line = classified[i];
+    const RequestOutcome* outcome =
+        line.error.empty() && line.cached == nullptr ? &outcomes[line.owner] : nullptr;
     ++requests_;
-    std::string body;
-    if (!pending.cached_body.empty()) {
-      body = std::move(pending.cached_body);
-    } else if (!pending.error) {
-      std::shared_ptr<RequestOutcome> outcome = pending.future.get();
-      pending.error = !outcome->error.empty();
-      pending.error_text = outcome->error;
-      body = outcome->body;
-      batch_rows += outcome->rows;
-    }
-    if (pending.error) {
+    const std::string& error = outcome != nullptr ? outcome->error : line.error;
+    if (!error.empty()) {
       ++errors_;
       ++batch_errors;
-      responses[pending.index] = "{\"id\": " + pending.id_json +
-                                 ", \"ok\": false, \"error\": \"" +
-                                 obs::JsonEscape(pending.error_text) + "\"}";
-      return;
+      responses[i] = "{\"id\": " + line.id_json + ", \"ok\": false, \"error\": \"" +
+                     obs::JsonEscape(error) + "\"}";
+      continue;
     }
-    if (pending.hit) {
+    const bool hit = !line.is_owner;
+    if (hit) {
       ++hits_;
       ++batch_hits;
     } else {
       ++misses_;
       ++batch_misses;
-      if (pending.owner && cache_.size() < options_.cache_capacity) {
-        cache_.emplace(pending.key, body);
+      batch_rows += outcome->rows;
+      if (cache_.size() < options_.cache_capacity) {
+        cache_.emplace(line.key, outcome->body);
       }
     }
     ++ok_;
-    responses[pending.index] = "{\"id\": " + pending.id_json + ", \"cache\": \"" +
-                               (pending.hit ? "hit" : "miss") + "\", " + body + "}";
-  };
-
-  for (size_t i = 0; i < lines.size(); ++i) {
-    ParsedRequest parsed = ParseRequest(lines[i]);
-    Pending pending;
-    pending.index = i;
-    pending.id_json = std::move(parsed.id_json);
-    pending.key = parsed.key;
-    if (!parsed.error.empty()) {
-      pending.error = true;
-      pending.error_text = std::move(parsed.error);
-    } else if (auto cached = cache_.find(parsed.key); cached != cache_.end()) {
-      pending.hit = true;
-      pending.cached_body = cached->second;
-    } else if (auto shared = batch_futures.find(parsed.key); shared != batch_futures.end()) {
-      // Same content dispatched earlier in this batch: share its result.
-      pending.hit = true;
-      pending.future = shared->second;
-    } else {
-      while (in_flight.size() >= window) {
-        consume();
-      }
-      pending.owner = true;
-      OutcomeFuture future =
-          std::async(std::launch::async,
-                     [this, deps = std::move(parsed.deps)]() {
-                       return std::make_shared<RequestOutcome>(Answer(deps));
-                     })
-              .share();
-      pending.future = future;
-      batch_futures.emplace(parsed.key, std::move(future));
-    }
-    in_flight.push_back(std::move(pending));
-  }
-  while (!in_flight.empty()) {
-    consume();
+    const std::string& body = outcome != nullptr ? outcome->body : *line.cached;
+    responses[i] = "{\"id\": " + line.id_json + ", \"cache\": \"" + (hit ? "hit" : "miss") +
+                   "\", " + body + "}";
   }
 
+  obs::MetricsRegistry& metrics = obs::Context::Current().metrics();
   metrics.Incr("serve.requests", lines.size());
   metrics.Incr("serve.cache_hits", batch_hits);
   metrics.Incr("serve.cache_misses", batch_misses);

@@ -2,9 +2,9 @@
 //
 // `depsurf serve` is the shape the ROADMAP north star asks for: datasets are
 // opened once (v2 via zero-copy mmap, v1 via one legacy parse) and batched
-// dependency-set queries stream through a bounded-window executor — the same
-// dispatch/consume-in-order pattern the parallel report builds use — so
-// responses are byte-identical at any --jobs value. A content-hash
+// dependency-set queries run on the ordered lane executor that study builds
+// use (src/util/ordered_executor.h), with responses assembled in request
+// order, so they are byte-identical at any --jobs value. A content-hash
 // admission/result cache answers repeated queries without re-analysis.
 //
 // Wire format: newline-delimited JSON. One request per line:
@@ -36,9 +36,9 @@ namespace depsurf {
 using obs::kServeReportSchema;
 
 struct ServeOptions {
-  // Width of the concurrent request window. 0 auto-sizes like study builds:
-  // min(hardware_concurrency, 8). Responses and cache counters are
-  // byte-identical for any value.
+  // Lanes answering a batch's distinct queries concurrently; 0 auto-sizes
+  // by the one rule in LaneCount (src/util/ordered_executor.h). Responses
+  // and cache counters are byte-identical for any value.
   int jobs = 0;
   // Result-cache admission bound: once this many distinct results are
   // cached, later misses are computed but not admitted.
@@ -57,9 +57,10 @@ class ServeEngine {
   ServeEngine& operator=(const ServeEngine&) = delete;
 
   // Answers one batch of request lines. The returned vector is parallel to
-  // `lines`. Workers run under per-request obs::Contexts; summary counters
-  // and a "serve.batch" span land in the caller's context. Not re-entrant:
-  // call from one thread at a time (workers are managed internally).
+  // `lines`. Each distinct uncached query is answered once, on an executor
+  // lane under its own obs::Context; summary counters and a "serve.batch"
+  // span land in the caller's context. Not re-entrant: call from one thread
+  // at a time (the lanes live only for the call).
   std::vector<std::string> HandleBatch(const std::vector<std::string>& lines);
 
   // Deterministic depsurf.serve_report.v1 summary of everything served so

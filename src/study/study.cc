@@ -7,11 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
-#include <deque>
-#include <fstream>
-#include <future>
 #include <memory>
-#include <thread>
+#include <optional>
 #include <utility>
 
 #include "src/obs/context.h"
@@ -20,6 +17,8 @@
 #include "src/obs/report_merge.h"
 #include "src/obs/run_report.h"
 #include "src/obs/span.h"
+#include "src/util/file_util.h"
+#include "src/util/ordered_executor.h"
 #include "src/util/str_util.h"
 
 namespace depsurf {
@@ -41,93 +40,61 @@ uint64_t ProcessCpuNs() {
          static_cast<uint64_t>(ts.tv_nsec);
 }
 
-// Width of the concurrent generate+extract window.
-size_t EffectiveWindow(const BuildPolicy& policy) {
-  if (policy.jobs > 0) {
-    return static_cast<size_t>(policy.jobs);
-  }
-  size_t window = std::max<unsigned>(1, std::thread::hardware_concurrency());
-  return std::min(window, size_t{8});  // surfaces are large; bound memory
-}
-
-// What a bounded-window worker hands back to the in-order consume stage:
-// the extracted surface plus the two timings only the worker can measure.
-struct WorkerResult {
+// One image's generate+extract, run on an executor lane. `seconds` is the
+// wall time the progress callback reports.
+struct ExtractedImage {
   Result<DependencySurface> surface;
-  double seconds = 0;     // generate+extract wall time inside the worker
-  double queue_wait = 0;  // launch (enqueue) to the worker actually starting
+  double seconds = 0;
 };
 
-// Telemetry for the bounded-window executor, accumulated locally while the
-// loop runs and published as metrics once the build completes. Report-mode
-// builds reset the root registry mid-flight and scope per-image contexts
-// around the workers, so recording as-you-go would either leak executor
-// noise into per-image reports (breaking their masked determinism
-// guarantee) or be wiped by the reset; batching sidesteps both.
-class ExecutorTelemetry {
- public:
-  explicit ExecutorTelemetry(size_t window) : lane_busy_seconds_(window, 0.0) {}
-
-  // `index` is the task's position in corpus order; launch and consume
-  // both walk the window round-robin, so index % window names the executor
-  // lane the task occupied.
-  void RecordTask(size_t index, double queue_wait_seconds, double busy_seconds) {
-    queue_wait_us_.push_back(static_cast<uint64_t>(queue_wait_seconds * 1e6));
-    inflight_us_.push_back(static_cast<uint64_t>(busy_seconds * 1e6));
-    lane_busy_seconds_[index % lane_busy_seconds_.size()] += busy_seconds;
-  }
-
-  void AddStall(uint64_t ns) { serialize_stall_ns_ += ns; }
-
-  void Publish(obs::MetricsRegistry& metrics) const {
-    obs::Histogram* queue_wait = metrics.GetHistogram("study.executor.queue_wait_us");
-    for (uint64_t v : queue_wait_us_) {
-      queue_wait->Record(v);
-    }
-    obs::Histogram* inflight = metrics.GetHistogram("study.executor.inflight_us");
-    for (uint64_t v : inflight_us_) {
-      inflight->Record(v);
-    }
-    metrics.Incr("study.executor.serialize_stall_us", serialize_stall_ns_ / 1000);
-    for (size_t lane = 0; lane < lane_busy_seconds_.size(); ++lane) {
-      metrics.Set(StrFormat("study.executor.worker%zu.busy_ms", lane),
-                  static_cast<int64_t>(lane_busy_seconds_[lane] * 1e3));
-    }
-  }
-
- private:
-  std::vector<uint64_t> queue_wait_us_;
-  std::vector<uint64_t> inflight_us_;
-  std::vector<double> lane_busy_seconds_;  // per executor lane
-  uint64_t serialize_stall_ns_ = 0;
-};
-
-// Wall time the in-order consume stage spends blocked on the window's
-// front future — zero when the front task already finished, i.e. nonzero
-// only when consumption (distill/serialize) has fallen behind extraction
-// or completions arrived out of corpus order.
-template <typename Future>
-uint64_t ConsumeStallNs(Future& future) {
-  if (future.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
-    return 0;
-  }
+ExtractedImage TimedExtract(const Study& study, const BuildSpec& build) {
   const auto start = std::chrono::steady_clock::now();
-  future.wait();
-  return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                   std::chrono::steady_clock::now() - start)
-                                   .count());
+  Result<DependencySurface> surface = study.ExtractSurface(build);
+  const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+  return ExtractedImage{std::move(surface), elapsed.count()};
 }
 
-Status WriteFileBytes(const std::string& path, const std::string& contents) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    return Status(ErrorCode::kIoError, "cannot write " + path);
+void ReportProgress(const std::function<void(const Study::ImageProgress&)>& progress,
+                    const std::vector<BuildSpec>& corpus, size_t index, double seconds,
+                    bool quarantined) {
+  if (!progress) {
+    return;
   }
-  out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
-  if (!out) {
-    return Status(ErrorCode::kIoError, "short write to " + path);
+  Study::ImageProgress report;
+  report.label = corpus[index].Label();
+  report.seconds = seconds;
+  report.index = index;
+  report.total = corpus.size();
+  report.quarantined = quarantined;
+  progress(report);
+}
+
+// The build's own metrics, published once it completes. The executor's
+// measurements are batched here rather than recorded as they happen:
+// report-mode builds reset the root registry mid-flight and scope per-image
+// contexts around the lanes, so recording as-you-go would either leak
+// executor noise into per-image reports (breaking their masked determinism)
+// or be wiped by the reset.
+void PublishBuildMetrics(obs::MetricsRegistry& metrics,
+                         std::chrono::steady_clock::time_point wall_start,
+                         uint64_t cpu_start_ns, size_t lanes, const OrderedRunStats& stats) {
+  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
+  const uint64_t cpu_ns = ProcessCpuNs() - cpu_start_ns;
+  metrics.Incr("study.datasets_built");
+  metrics.Set("study.build_dataset.wall_ms", static_cast<int64_t>(wall.count() * 1e3));
+  metrics.Set("study.build_dataset.cpu_total_ms", static_cast<int64_t>(cpu_ns / 1000000));
+  metrics.Set("study.build_dataset.window", static_cast<int64_t>(lanes));
+  obs::Histogram* queue_wait = metrics.GetHistogram("study.executor.queue_wait_us");
+  obs::Histogram* inflight = metrics.GetHistogram("study.executor.inflight_us");
+  for (size_t i = 0; i < stats.busy_ns.size(); ++i) {
+    queue_wait->Record(stats.queue_wait_ns[i] / 1000);
+    inflight->Record(stats.busy_ns[i] / 1000);
   }
-  return Status::Ok();
+  metrics.Incr("study.executor.serialize_stall_us", stats.consume_stall_ns / 1000);
+  for (size_t lane = 0; lane < stats.lane_busy_ns.size(); ++lane) {
+    metrics.Set(StrFormat("study.executor.worker%zu.busy_ms", lane),
+                static_cast<int64_t>(stats.lane_busy_ns[lane] / 1000000));
+  }
 }
 
 }  // namespace
@@ -221,83 +188,42 @@ Result<Dataset> Study::BuildDataset(
   const auto wall_start = std::chrono::steady_clock::now();
   const uint64_t cpu_start_ns = ProcessCpuNs();
 
-  // Extraction is pure, so images run concurrently in a bounded window;
+  // Extraction is pure, so images run concurrently on the executor's lanes;
   // distillation happens serially in corpus order (Dataset interning is
   // order-sensitive and must stay deterministic).
-  const size_t window = EffectiveWindow(policy);
-  ExecutorTelemetry telemetry(window);
+  const size_t lanes = LaneCount(policy.jobs);
   Dataset dataset;
-  std::deque<std::future<WorkerResult>> in_flight;
-  size_t next_launch = 0;
-  size_t next_consume = 0;
-  while (next_consume < corpus.size()) {
-    while (next_launch < corpus.size() && in_flight.size() < window) {
-      const BuildSpec& build = corpus[next_launch++];
-      const auto enqueue = std::chrono::steady_clock::now();
-      in_flight.push_back(std::async(std::launch::async, [this, build, enqueue] {
-        const auto start = std::chrono::steady_clock::now();
-        const std::chrono::duration<double> queued = start - enqueue;
-        Result<DependencySurface> surface = ExtractSurface(build);
-        const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-        return WorkerResult{std::move(surface), elapsed.count(), queued.count()};
-      }));
-    }
-    telemetry.AddStall(ConsumeStallNs(in_flight.front()));
-    WorkerResult result = in_flight.front().get();
-    in_flight.pop_front();
-    telemetry.RecordTask(next_consume, result.queue_wait, result.seconds);
-    Result<DependencySurface>& surface = result.surface;
-    const double seconds = result.seconds;
-    const std::string label = corpus[next_consume].Label();
-    if (!surface.ok()) {
-      if (!policy.keep_going) {
-        for (auto& future : in_flight) {
-          future.wait();  // drain before propagating the error
+  std::optional<Error> failure;
+  const OrderedRunStats stats = RunOrdered(
+      corpus.size(), lanes, [&](size_t i) { return TimedExtract(*this, corpus[i]); },
+      [&](size_t i, ExtractedImage& image) {
+        const std::string label = corpus[i].Label();
+        if (!image.surface.ok()) {
+          if (!policy.keep_going) {
+            failure = image.surface.TakeError().Wrap("image " + label);
+            return false;
+          }
+          // Quarantine: the image stays out of the dataset, the build goes
+          // on. Progress still fires — callers counting callbacks see every
+          // corpus slot exactly once, with the quarantine flagged.
+          obs::Context::Current().metrics().Incr("study.images_quarantined");
+          if (quarantined != nullptr) {
+            quarantined->push_back(QuarantinedImage{label, image.surface.TakeError()});
+          }
+          ReportProgress(progress, corpus, i, image.seconds, true);
+          return true;
         }
-        return surface.TakeError().Wrap("image " + label);
-      }
-      // Quarantine: the image stays out of the dataset, the build goes on.
-      // Progress still fires — callers counting callbacks see every corpus
-      // slot exactly once, with the quarantine flagged.
-      obs::Context::Current().metrics().Incr("study.images_quarantined");
-      if (quarantined != nullptr) {
-        quarantined->push_back(QuarantinedImage{label, surface.TakeError()});
-      }
-      if (progress) {
-        ImageProgress report;
-        report.label = label;
-        report.seconds = seconds;
-        report.index = next_consume;
-        report.total = corpus.size();
-        report.quarantined = true;
-        progress(report);
-      }
-      ++next_consume;
-      continue;
-    }
-    obs::Context::Current().metrics().GetHistogram("study.image_extract_ms")
-        ->Record(static_cast<uint64_t>(seconds * 1e3));
-    if (progress) {
-      ImageProgress report;
-      report.label = label;
-      report.seconds = seconds;
-      report.index = next_consume;
-      report.total = corpus.size();
-      progress(report);
-    }
-    dataset.AddImage(label, *surface);
-    ++next_consume;
+        obs::Context::Current().metrics().GetHistogram("study.image_extract_ms")
+            ->Record(static_cast<uint64_t>(image.seconds * 1e3));
+        ReportProgress(progress, corpus, i, image.seconds, false);
+        dataset.AddImage(label, *image.surface);
+        return true;
+      });
+  if (failure.has_value()) {
+    return std::move(*failure);
   }
-
-  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
-  const uint64_t cpu_ns = ProcessCpuNs() - cpu_start_ns;
-  obs::MetricsRegistry& metrics = obs::Context::Current().metrics();
-  metrics.Incr("study.datasets_built");
-  metrics.Set("study.build_dataset.wall_ms", static_cast<uint64_t>(wall.count() * 1e3));
-  metrics.Set("study.build_dataset.cpu_total_ms", static_cast<int64_t>(cpu_ns / 1000000));
-  metrics.Set("study.build_dataset.window", static_cast<int64_t>(window));
-  telemetry.Publish(metrics);
-  span.AddAttr("window", static_cast<uint64_t>(window));
+  PublishBuildMetrics(obs::Context::Current().metrics(), wall_start, cpu_start_ns, lanes, stats);
+  span.AddAttr("window", static_cast<uint64_t>(lanes));
   return dataset;
 }
 
@@ -309,110 +235,89 @@ Result<Dataset> Study::BuildDatasetWithReports(
     std::vector<QuarantinedImage>* quarantined) const {
   const auto wall_start = std::chrono::steady_clock::now();
   const uint64_t cpu_start_ns = ProcessCpuNs();
-  const size_t window = EffectiveWindow(policy);
+  const size_t lanes = LaneCount(policy.jobs);
 
   // Per-image isolation comes from obs::Context, not from clearing the
-  // globals: each in-flight image owns a fresh context, and the worker
-  // pushes it on its own thread (the TLS stack does not cross std::async
-  // boundaries). Everything BuildImage + Extract collect — spans, metrics,
-  // the salvage ledger — lands in that context. The main thread consumes in
-  // corpus order, distills under the same context, and serializes it as the
-  // per-image report, so report contents match the old serial build while
-  // generate+extract overlap across the window.
-  struct InFlight {
-    std::shared_ptr<obs::Context> context;
-    std::future<WorkerResult> future;
+  // globals: each image owns a fresh context, which its lane pushes on its
+  // own thread (the TLS stack does not cross threads). Everything
+  // BuildImage + Extract collect — spans, metrics, the salvage ledger —
+  // lands in that context. The calling thread consumes in corpus order,
+  // distills under the same context, and serializes it as the per-image
+  // report, so report contents match a serial build while generate+extract
+  // overlap across the lanes.
+  struct ImageTask {
+    std::unique_ptr<obs::Context> context;
+    ExtractedImage image;
   };
+  // A fresh context inherits the live trace flag from the constructing
+  // thread's context; the lanes construct them, so pass the caller's on.
+  const bool live_trace = obs::Context::Current().spans().live_trace();
 
-  ExecutorTelemetry telemetry(window);
   Dataset dataset;
   std::vector<obs::LabeledReport> reports;
-  std::deque<InFlight> in_flight;
-  size_t next_launch = 0;
-  size_t next_consume = 0;
-  while (next_consume < corpus.size()) {
-    while (next_launch < corpus.size() && in_flight.size() < window) {
-      const BuildSpec& build = corpus[next_launch++];
-      auto context = std::make_shared<obs::Context>();
-      InFlight entry;
-      entry.context = context;
-      const auto enqueue = std::chrono::steady_clock::now();
-      entry.future = std::async(std::launch::async, [this, build, context, enqueue] {
+  std::optional<Error> failure;
+  const OrderedRunStats stats = RunOrdered(
+      corpus.size(), lanes,
+      [&](size_t i) {
+        auto context = std::make_unique<obs::Context>();
+        context->spans().SetLiveTrace(live_trace);
         obs::ScopedContext scope(*context);
-        const auto start = std::chrono::steady_clock::now();
-        const std::chrono::duration<double> queued = start - enqueue;
-        Result<DependencySurface> surface = ExtractSurface(build);
-        const std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        return WorkerResult{std::move(surface), elapsed.count(), queued.count()};
-      });
-      in_flight.push_back(std::move(entry));
-    }
-    InFlight entry = std::move(in_flight.front());
-    in_flight.pop_front();
-    // Stall + queue-wait are executor facts, not image facts: they are
-    // measured here on the main thread (or returned by the worker) and
-    // batched outside the per-image context so report contents stay
-    // byte-stable under masking regardless of --jobs.
-    telemetry.AddStall(ConsumeStallNs(entry.future));
-    WorkerResult result = entry.future.get();
-    telemetry.RecordTask(next_consume, result.queue_wait, result.seconds);
-    Result<DependencySurface>& surface = result.surface;
-    const double seconds = result.seconds;
-    obs::Context& context = *entry.context;
-    const std::string label = corpus[next_consume].Label();
-    const bool image_ok = surface.ok();
-    if (!image_ok) {
-      if (!policy.keep_going) {
-        for (auto& pending : in_flight) {
-          pending.future.wait();  // drain before propagating the error
+        ExtractedImage image = TimedExtract(*this, corpus[i]);
+        return ImageTask{std::move(context), std::move(image)};
+      },
+      [&](size_t i, ImageTask& task) {
+        obs::Context& context = *task.context;
+        Result<DependencySurface>& surface = task.image.surface;
+        const std::string label = corpus[i].Label();
+        const bool image_ok = surface.ok();
+        if (!image_ok) {
+          if (!policy.keep_going) {
+            failure = surface.TakeError().Wrap("image " + label);
+            return false;
+          }
+          // Quarantined images still leave a trace in the report set: one
+          // fatal ledger entry explaining why extraction died, so the
+          // aggregate lists the image alongside the survivors.
+          Error error = surface.TakeError();
+          DiagnosticEntry fatal;
+          fatal.severity = DiagSeverity::kFatal;
+          // The layer closest to the fault tags the error (a poisoned DWARF
+          // section reads as a dwarf failure); untagged errors — generator
+          // failures, unreadable containers — default to the ELF layer.
+          fatal.subsystem = error.subsystem().value_or(DiagSubsystem::kElf);
+          fatal.code = error.code();
+          if (error.offset().has_value()) {
+            fatal.offset = *error.offset();
+            fatal.has_offset = true;
+          }
+          fatal.message = error.message();
+          context.diagnostics().Add(fatal);
+          context.metrics().Incr("study.images_quarantined");
+          if (quarantined != nullptr) {
+            quarantined->push_back(QuarantinedImage{label, std::move(error)});
+          }
+        } else {
+          // Distill under the image's context so dataset.distill spans and
+          // intern metrics land in its report, exactly as in the serial build.
+          obs::ScopedContext scope(context);
+          dataset.AddImage(label, *surface);
         }
-        return surface.TakeError().Wrap("image " + label);
-      }
-      // Quarantined images still leave a trace in the report set: one
-      // fatal ledger entry explaining why extraction died, so the
-      // aggregate lists the image alongside the survivors.
-      Error error = surface.TakeError();
-      DiagnosticEntry fatal;
-      fatal.severity = DiagSeverity::kFatal;
-      // The layer closest to the fault tags the error (a poisoned DWARF
-      // section reads as a dwarf failure); untagged errors — generator
-      // failures, unreadable containers — default to the ELF layer.
-      fatal.subsystem = error.subsystem().value_or(DiagSubsystem::kElf);
-      fatal.code = error.code();
-      if (error.offset().has_value()) {
-        fatal.offset = *error.offset();
-        fatal.has_offset = true;
-      }
-      fatal.message = error.message();
-      context.diagnostics().Add(fatal);
-      context.metrics().Incr("study.images_quarantined");
-      if (quarantined != nullptr) {
-        quarantined->push_back(QuarantinedImage{label, std::move(error)});
-      }
-    } else {
-      // Distill under the image's context so dataset.distill spans and
-      // intern metrics land in its report, exactly as in the serial build.
-      obs::ScopedContext scope(context);
-      dataset.AddImage(label, *surface);
-    }
-    std::string json = obs::ContextRunReportJson(context);
-    std::string path = report_dir + "/report_" + label + ".json";
-    DEPSURF_RETURN_IF_ERROR(WriteFileBytes(path, json));
-    reports.push_back(obs::LabeledReport{label, std::move(json)});
-    if (files != nullptr) {
-      files->per_image.push_back(path);
-    }
-    if (progress) {
-      ImageProgress report;
-      report.label = label;
-      report.seconds = seconds;
-      report.index = next_consume;
-      report.total = corpus.size();
-      report.quarantined = !image_ok;
-      progress(report);
-    }
-    ++next_consume;
+        std::string json = obs::ContextRunReportJson(context);
+        std::string path = report_dir + "/report_" + label + ".json";
+        Status written = WriteFile(path, json);
+        if (!written.ok()) {
+          failure = written.TakeError();
+          return false;
+        }
+        reports.push_back(obs::LabeledReport{label, std::move(json)});
+        if (files != nullptr) {
+          files->per_image.push_back(path);
+        }
+        ReportProgress(progress, corpus, i, task.image.seconds, !image_ok);
+        return true;
+      });
+  if (failure.has_value()) {
+    return std::move(*failure);
   }
 
   auto aggregate = obs::MergeRunReports(reports);
@@ -420,7 +325,7 @@ Result<Dataset> Study::BuildDatasetWithReports(
     return aggregate.TakeError();
   }
   std::string agg_path = report_dir + "/report_agg.json";
-  DEPSURF_RETURN_IF_ERROR(WriteFileBytes(agg_path, *aggregate));
+  DEPSURF_RETURN_IF_ERROR(WriteFile(agg_path, *aggregate));
   if (files != nullptr) {
     files->aggregate = agg_path;
   }
@@ -432,15 +337,8 @@ Result<Dataset> Study::BuildDatasetWithReports(
   root.spans().Clear();
   root.metrics().Reset();
   root.diagnostics().Clear();
-  const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - wall_start;
-  const uint64_t cpu_ns = ProcessCpuNs() - cpu_start_ns;
-  obs::MetricsRegistry& metrics = root.metrics();
-  metrics.Incr("study.datasets_built");
-  metrics.Incr("study.reports_written", corpus.size() + 1);
-  metrics.Set("study.build_dataset.wall_ms", static_cast<int64_t>(wall.count() * 1e3));
-  metrics.Set("study.build_dataset.cpu_total_ms", static_cast<int64_t>(cpu_ns / 1000000));
-  metrics.Set("study.build_dataset.window", static_cast<int64_t>(window));
-  telemetry.Publish(metrics);
+  root.metrics().Incr("study.reports_written", corpus.size() + 1);
+  PublishBuildMetrics(root.metrics(), wall_start, cpu_start_ns, lanes, stats);
   return dataset;
 }
 

@@ -48,10 +48,11 @@ struct BuildPolicy {
   // the dataset, and finish the rest of the corpus. false (`--strict`):
   // abort the build with the failed image's error, wrapped with its label.
   bool keep_going = true;
-  // Width of the concurrent generate+extract window (`--jobs=N`). 0 (the
-  // default) auto-sizes to min(hardware_concurrency, 8). Results are
-  // byte-identical for any value: distillation and report serialization
-  // stay serial in corpus order.
+  // Lanes running generate+extract concurrently (`--jobs=N`); 0 (the
+  // default) auto-sizes by the one rule in LaneCount
+  // (src/util/ordered_executor.h). Results are byte-identical for any
+  // value: distillation and report serialization stay serial in corpus
+  // order.
   int jobs = 0;
 };
 
@@ -82,7 +83,7 @@ class Study {
 
   // Per-image progress report for BuildDataset: which image just finished,
   // how long its generate+extract round trip took, and where the build
-  // stands in the corpus. `seconds` is wall time inside the worker, so with
+  // stands in the corpus. `seconds` is wall time inside the lane, so with
   // parallel extraction the sum exceeds the dataset wall time. Every corpus
   // entry fires exactly once, in corpus order with contiguous indices —
   // quarantined images included, flagged so callers can render them
@@ -96,8 +97,9 @@ class Study {
   };
 
   // Builds a dataset over the given corpus. Image generation + extraction
-  // run in parallel (they are pure); distillation is serial and in corpus
-  // order, so results are deterministic. `progress` (optional) is called
+  // run in parallel on the ordered lane executor (they are pure);
+  // distillation is serial and in corpus order, so results are
+  // deterministic. `progress` (optional) is called
   // once per image as its surface is distilled. Under the default policy a
   // failed image is quarantined (appended to `quarantined` when non-null)
   // and the build continues; under strict the error aborts the build.
@@ -109,9 +111,9 @@ class Study {
   // Like BuildDataset, but additionally writes one depsurf.run_report.v1
   // per image into `report_dir` (report_<label>.json) plus their merged
   // depsurf.run_report_agg.v1 (report_agg.json). Per-image isolation comes
-  // from obs::Context: each in-flight image generates + extracts under its
-  // own context on a worker thread, so report mode runs in the same bounded
-  // concurrent window as BuildDataset. Distillation and report
+  // from obs::Context: each image generates + extracts under its own
+  // context on an executor lane, so report mode runs on the same lanes as
+  // BuildDataset. Distillation and report
   // serialization stay serial in corpus order — the dataset, the per-image
   // reports (modulo live timings), and the masked aggregate are
   // byte-identical for any BuildPolicy::jobs. The paths written land in

@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string_view>
@@ -173,24 +172,6 @@ Result<std::string> ReadTextFile(const std::string& path) {
     return bytes.TakeError();
   }
   return std::string(bytes->begin(), bytes->end());
-}
-
-// Every file the CLI writes goes through here. One check after the close
-// covers the open, the write (failbit is sticky) and the flush the close
-// does: a full disk (/dev/full) often fails only there.
-Status WriteFile(const std::string& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-  if (!out) {
-    return Status(ErrorCode::kIoError, "cannot write " + path);
-  }
-  return Status::Ok();
-}
-
-Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
-  return WriteFile(path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                                          bytes.size()));
 }
 
 // The nonempty items of a comma-separated flag value.

@@ -31,6 +31,33 @@ ssize_t ReadFully(int fd, uint8_t* data, size_t len) {
   return static_cast<ssize_t>(got);
 }
 
+Status WriteWhole(const std::string& path, std::string_view bytes, int mode_flags) {
+  int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC | mode_flags, 0666);
+  if (fd < 0) {
+    return Status(ErrorCode::kIoError,
+                  "cannot write " + path + ": " + std::strerror(errno));
+  }
+  size_t put = 0;
+  while (put < bytes.size()) {
+    ssize_t n = ::write(fd, bytes.data() + put, bytes.size() - put);
+    if (n < 0 && errno == EINTR) {
+      continue;
+    }
+    if (n <= 0) {
+      int saved_errno = n < 0 ? errno : EIO;
+      ::close(fd);
+      return Status(ErrorCode::kIoError,
+                    "cannot write " + path + ": " + std::strerror(saved_errno));
+    }
+    put += static_cast<size_t>(n);
+  }
+  if (::close(fd) != 0) {
+    return Status(ErrorCode::kIoError,
+                  "cannot write " + path + ": " + std::strerror(errno));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
@@ -68,6 +95,19 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
                  "cannot read " + path + ": " + std::strerror(saved_errno));
   }
   return bytes;
+}
+
+Status WriteFile(const std::string& path, std::string_view bytes) {
+  return WriteWhole(path, bytes, O_TRUNC);
+}
+
+Status WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  return WriteFile(path, std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                                          bytes.size()));
+}
+
+Status AppendFile(const std::string& path, std::string_view bytes) {
+  return WriteWhole(path, bytes, O_APPEND);
 }
 
 }  // namespace depsurf

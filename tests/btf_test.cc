@@ -313,17 +313,6 @@ TEST(BtfPrintTest, FuncDecl) {
   EXPECT_EQ(FuncDeclString(g, kBtfVoid), "<not a function>");
 }
 
-TEST(BtfPrintTest, JsonMatchesDatasetShape) {
-  BtfTypeId func;
-  TypeGraph g = MakeVfsFsyncGraph(&func);
-  std::string json = TypeJson(g, func);
-  EXPECT_NE(json.find("\"kind\": \"FUNC\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"vfs_fsync\""), std::string::npos);
-  EXPECT_NE(json.find("\"kind\": \"FUNC_PROTO\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"datasync\""), std::string::npos);
-  EXPECT_NE(json.find("\"ret_type\""), std::string::npos);
-}
-
 TEST(BtfCompareTest, EqualAcrossGraphs) {
   BtfTypeId fa;
   BtfTypeId fb;

@@ -1,9 +1,10 @@
-// Determinism of the parallel report-mode corpus build: BuildPolicy::jobs
-// changes only wall time, never output. jobs=1 and jobs=8 must produce a
-// byte-identical dataset, per-image run reports equal under timing masking,
-// and a byte-identical masked aggregate. Runs under the robustness label so
-// the TSAN configuration (DEPSURF_SANITIZE=thread) exercises the bounded
-// window and the per-image obs::Context handoff between threads.
+// Determinism of the parallel corpus builds: BuildPolicy::jobs changes only
+// wall time, never output. jobs=1 and jobs=8 must produce a byte-identical
+// dataset and the same progress order, and in report mode per-image run
+// reports equal under timing masking and a byte-identical masked aggregate.
+// Runs under the robustness label so the TSAN configuration
+// (DEPSURF_SANITIZE=thread) exercises the executor's lanes and the
+// per-image obs::Context handoff between threads.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include "src/obs/profile.h"
 #include "src/obs/schema.h"
 #include "src/study/study.h"
+#include "src/util/str_util.h"
 
 namespace depsurf {
 namespace {
@@ -40,6 +42,14 @@ std::string MaskedFile(const std::string& path) {
   auto json = obs::ParseJson(ReadFileOrEmpty(path));
   EXPECT_TRUE(json.ok()) << path;
   return json.ok() ? obs::CanonicalMaskedJson(*json) : std::string();
+}
+
+std::vector<BuildSpec> LtsCorpus() {
+  std::vector<BuildSpec> corpus;
+  for (KernelVersion version : kLtsVersions) {
+    corpus.push_back(MakeBuild(version));
+  }
+  return corpus;
 }
 
 struct BuildOutputs {
@@ -75,10 +85,7 @@ BuildOutputs RunBuild(Study& study, const std::vector<BuildSpec>& corpus, int jo
 
 TEST(ParallelBuildTest, JobsOneAndEightProduceIdenticalOutputs) {
   Study study(StudyOptions{2025, 0.005});
-  std::vector<BuildSpec> corpus;
-  for (KernelVersion version : kLtsVersions) {
-    corpus.push_back(MakeBuild(version));
-  }
+  const std::vector<BuildSpec> corpus = LtsCorpus();
 
   BuildOutputs serial = RunBuild(study, corpus, 1);
   BuildOutputs parallel = RunBuild(study, corpus, 8);
@@ -102,16 +109,70 @@ TEST(ParallelBuildTest, JobsOneAndEightProduceIdenticalOutputs) {
   }
 }
 
+// The plain (no reports) build runs on the same executor: the dataset bytes
+// and the progress sequence do not depend on the lane count.
+TEST(ParallelBuildTest, PlainBuildIsIdenticalAtJobsOneAndEight) {
+  Study study(StudyOptions{2025, 0.005});
+  const std::vector<BuildSpec> corpus = LtsCorpus();
+  std::vector<std::vector<uint8_t>> bytes;
+  for (int jobs : {1, 8}) {
+    BuildPolicy policy;
+    policy.jobs = jobs;
+    std::vector<std::string> progress;
+    auto dataset = study.BuildDataset(
+        corpus,
+        [&](const Study::ImageProgress& image) {
+          progress.push_back(StrFormat("%zu/%zu %s%s", image.index, image.total,
+                                       image.label.c_str(), image.quarantined ? " q" : ""));
+        },
+        policy);
+    ASSERT_TRUE(dataset.ok()) << dataset.error().ToString();
+    bytes.push_back(SaveDataset(*dataset));
+    ASSERT_EQ(progress.size(), corpus.size()) << "jobs=" << jobs;
+    for (size_t i = 0; i < corpus.size(); ++i) {
+      EXPECT_EQ(progress[i], StrFormat("%zu/%zu %s", i, corpus.size(), corpus[i].Label().c_str()))
+          << "jobs=" << jobs;
+    }
+  }
+  EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+// A strict build (keep_going=false) on a wide window returns the poisoned
+// image's own error even though its neighbors extract concurrently.
+TEST(ParallelBuildTest, StrictBuildReturnsThePoisonedImagesError) {
+  Study study(StudyOptions{2025, 0.005});
+  const std::vector<BuildSpec> corpus = LtsCorpus();
+  const std::string victim = corpus[corpus.size() / 2].Label();
+  study.SetImageMutator([&victim](const BuildSpec& build, std::vector<uint8_t>& bytes) {
+    if (build.Label() == victim && bytes.size() > 16) {
+      bytes.resize(16);
+    }
+  });
+  BuildPolicy policy;
+  policy.jobs = 8;
+  policy.keep_going = false;
+  std::vector<size_t> progress;
+  auto dataset = study.BuildDataset(
+      corpus, [&](const Study::ImageProgress& image) { progress.push_back(image.index); },
+      policy);
+  ASSERT_FALSE(dataset.ok());
+  EXPECT_EQ(dataset.error().message().rfind("image " + victim + ": ", 0), 0u)
+      << dataset.error().ToString();
+  // Only the images before the victim were distilled and reported.
+  std::vector<size_t> before(corpus.size() / 2);
+  for (size_t i = 0; i < before.size(); ++i) {
+    before[i] = i;
+  }
+  EXPECT_EQ(progress, before);
+}
+
 // The self-profile built from a report aggregate is valid at any window
 // width, keeps CPU time within wall time on every span, and — after
 // masking — is byte-identical between jobs=1 and jobs=8 (the critical_path
 // and executor sections are masked wholesale, so only structure remains).
 TEST(ParallelBuildTest, ProfileFromAggregateIsValidAndMaskStable) {
   Study study(StudyOptions{2025, 0.005});
-  std::vector<BuildSpec> corpus;
-  for (KernelVersion version : kLtsVersions) {
-    corpus.push_back(MakeBuild(version));
-  }
+  const std::vector<BuildSpec> corpus = LtsCorpus();
 
   BuildOutputs serial = RunBuild(study, corpus, 1);
   BuildOutputs parallel = RunBuild(study, corpus, 8);
@@ -161,10 +222,7 @@ TEST(ParallelBuildTest, ProfileFromAggregateIsValidAndMaskStable) {
 // must land in its own report while neighbors extract concurrently.
 TEST(ParallelBuildTest, WideWindowQuarantineStaysIsolated) {
   Study study(StudyOptions{2025, 0.005});
-  std::vector<BuildSpec> corpus;
-  for (KernelVersion version : kLtsVersions) {
-    corpus.push_back(MakeBuild(version));
-  }
+  const std::vector<BuildSpec> corpus = LtsCorpus();
   const std::string victim = corpus[2].Label();
   study.SetImageMutator([&victim](const BuildSpec& build, std::vector<uint8_t>& bytes) {
     if (build.Label() == victim && bytes.size() > 16) {

@@ -198,6 +198,10 @@ check_write_error study build --versions=5.4 --scale=0.02 --out=/dev/full
 # llcstat's object is small enough to sit in the stream buffer, so its
 # write fails only when the close flushes it.
 check_write_error emit llcstat --out=/dev/full
+# The global options' reports are small too: --metrics-out and --trace-out
+# must fail the run, naming the file, when the close fails.
+check_write_error progs --metrics-out=/dev/full
+check_write_error progs --trace-out=/dev/full
 
 # ---- --report-dir: a missing nested directory is created; one that cannot
 # be created fails before any image is built, naming the flag.

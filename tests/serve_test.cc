@@ -160,15 +160,58 @@ TEST(ServeTest, DeeplyNestedRequestIsABadRequestNotACrash) {
   }
 }
 
+// RequestBatch() followed by more distinct queries than any window has
+// lanes: query q is asked again (a new id, the same set) three queries
+// later, with malformed lines and object requests in between.
+std::vector<std::string> LongBatch() {
+  const char* funcs[] = {"vfs_read", "vfs_write", "vfs_fsync", "get_order"};
+  std::vector<std::string> lines = RequestBatch();
+  auto query = [&](const std::string& id, size_t q) {
+    return "{\"id\": \"" + id + "\", \"program\": \"p" + std::to_string(q) +
+           "\", \"funcs\": [\"" + funcs[q % 4] + "\"]}";
+  };
+  for (size_t q = 0; q < 12; ++q) {
+    lines.push_back(query("q" + std::to_string(q), q));
+    if (q >= 3) {
+      lines.push_back(query("dup" + std::to_string(q - 3), q - 3));
+    }
+    if (q % 4 == 1) {
+      lines.push_back("{\"id\": \"bad" + std::to_string(q) + "\", not json");
+    }
+    if (q % 5 == 2) {
+      lines.push_back("{\"id\": \"obj" + std::to_string(q) + "\", \"object\": \"" +
+                      Fixture().object_path + "\"}");
+    }
+  }
+  return lines;
+}
+
+size_t LineWithId(const std::vector<std::string>& lines, const std::string& id) {
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].find("\"id\": \"" + id + "\"") != std::string::npos) {
+      return i;
+    }
+  }
+  ADD_FAILURE() << "no line with id " << id;
+  return 0;
+}
+
 TEST(ServeTest, ResponsesAreByteIdenticalAcrossJobs) {
+  const std::vector<std::string> batch = LongBatch();
   std::vector<std::vector<std::string>> all_responses;
   std::vector<std::string> all_reports;
-  for (int jobs : {1, 8}) {
+  for (int jobs : {1, 2, 8}) {
     ServeOptions options;
     options.jobs = jobs;
+    // Fewer slots than distinct results: which ones the cache keeps depends
+    // on admission order, which must be request order at every width.
+    options.cache_capacity = 5;
     auto engine = ServeEngine::Open({Fixture().v1_path, Fixture().v2_path}, options);
     ASSERT_TRUE(engine.ok()) << engine.error().ToString();
-    all_responses.push_back(engine->HandleBatch(RequestBatch()));
+    std::vector<std::string> responses = engine->HandleBatch(batch);
+    std::vector<std::string> again = engine->HandleBatch(batch);
+    responses.insert(responses.end(), again.begin(), again.end());
+    all_responses.push_back(std::move(responses));
     std::string report = engine->ReportJson();
     // Reports differ only in the jobs field; mask it for comparison.
     size_t jobs_pos = report.find("\"jobs\": ");
@@ -176,8 +219,26 @@ TEST(ServeTest, ResponsesAreByteIdenticalAcrossJobs) {
     report.erase(jobs_pos, report.find('\n', jobs_pos) - jobs_pos);
     all_reports.push_back(report);
   }
-  EXPECT_EQ(all_responses[0], all_responses[1]);
-  EXPECT_EQ(all_reports[0], all_reports[1]);
+  for (size_t run = 1; run < all_responses.size(); ++run) {
+    EXPECT_EQ(all_responses[0], all_responses[run]) << "run " << run;
+    EXPECT_EQ(all_reports[0], all_reports[run]) << "run " << run;
+  }
+  EXPECT_NE(all_reports[0].find("\"entries\": 5, \"capacity\": 5"), std::string::npos)
+      << all_reports[0];
+
+  // RequestBatch() has four distinct results, so q0's is the fifth and last
+  // one admitted: the second pass hits it and misses q1, whose in-batch
+  // duplicate then hits.
+  const std::vector<std::string>& responses = all_responses[0];
+  const size_t second = batch.size();
+  EXPECT_NE(responses[second + LineWithId(batch, "q0")].find("\"cache\": \"hit\""),
+            std::string::npos);
+  EXPECT_NE(responses[second + LineWithId(batch, "q1")].find("\"cache\": \"miss\""),
+            std::string::npos);
+  EXPECT_NE(responses[second + LineWithId(batch, "dup1")].find("\"cache\": \"hit\""),
+            std::string::npos);
+  EXPECT_NE(responses[LineWithId(batch, "bad1")].find("\"ok\": false"), std::string::npos);
+  EXPECT_NE(responses[LineWithId(batch, "obj2")].find("\"ok\": true"), std::string::npos);
 }
 
 TEST(ServeTest, V1AndV2DatasetsAnswerIdenticalRows) {

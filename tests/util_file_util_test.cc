@@ -60,5 +60,42 @@ TEST_F(FileUtilTest, NonRegularFilesReadToEof) {
   EXPECT_TRUE(bytes->empty());
 }
 
+TEST_F(FileUtilTest, WriteTruncatesAndAppendAdds) {
+  const std::string path = dir_ + "/data";
+  ASSERT_TRUE(WriteFile(path, std::string(1000, 'x')).ok());
+  ASSERT_TRUE(WriteFile(path, std::string_view("first\n")).ok());
+  ASSERT_TRUE(AppendFile(path, "second\n").ok());
+  ASSERT_TRUE(WriteFile(path + ".bytes", std::vector<uint8_t>{1, 2, 3}).ok());
+  auto text = ReadFileBytes(path);
+  ASSERT_TRUE(text.ok()) << text.error().ToString();
+  EXPECT_EQ(std::string(text->begin(), text->end()), "first\nsecond\n");
+  auto bytes = ReadFileBytes(path + ".bytes");
+  ASSERT_TRUE(bytes.ok()) << bytes.error().ToString();
+  EXPECT_EQ(*bytes, (std::vector<uint8_t>{1, 2, 3}));
+  std::remove((path + ".bytes").c_str());
+}
+
+// /dev/full accepts the open and fails the write: a small output that a
+// buffered writer would hold until close must still fail, naming the path.
+TEST_F(FileUtilTest, FullDeviceIsAnIoError) {
+  for (const Status& status : {WriteFile("/dev/full", std::string_view("{}\n")),
+                               WriteFile("/dev/full", std::vector<uint8_t>{0}),
+                               AppendFile("/dev/full", "{}\n")}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code(), ErrorCode::kIoError);
+    EXPECT_NE(status.error().message().find("cannot write /dev/full"), std::string::npos)
+        << status.error().message();
+  }
+}
+
+TEST_F(FileUtilTest, UnopenableWriteTargetIsAnIoError) {
+  for (const Status& status : {WriteFile(dir_ + "/missing/out", std::string_view("x")),
+                               AppendFile(dir_, "x")}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.error().code(), ErrorCode::kIoError);
+    EXPECT_EQ(status.error().message().rfind("cannot write ", 0), 0u) << status.error().message();
+  }
+}
+
 }  // namespace
 }  // namespace depsurf
